@@ -1,13 +1,16 @@
-// Layout-planned vs always-NCHW activation flow through the VGG-16 layer
-// chain: what eliding the NCHW round-trip between consecutive Winograd
-// layers (tile-form handoffs + ReLU fused into the output scatter) buys
-// over repacking at every layer boundary. Both modes run the identical
-// arithmetic (bit-identical outputs, asserted here and pinned by
-// tests/nn_forward_test.cpp), so the delta is pure data-movement cost.
+// Tile-form vs NCHW handoffs through the VGG-16 layer chain: what eliding
+// the NCHW round-trip at Winograd layer boundaries (tile-form handoffs +
+// ReLU fused into the output scatter) buys over materialising NCHW at
+// every boundary. Both sides are the same forward(plan) executor: the
+// tiled side runs uniform_plan(layers, algo) as planned; the NCHW side is
+// that plan with every step set to NCHW output, no fused ReLU, and its
+// memory plan rebuilt. Both run the identical arithmetic (bit-identical
+// outputs, asserted here and pinned by tests/nn_forward_test.cpp against
+// forward_reference), so the delta is pure data-movement cost.
 //
 // Emits BENCH_layout.json next to the binary (or at --out); the
-// elided_beats_nchw field carries the CI gate's verdict
-// (bench/baselines/BENCH_layout_baseline.json).
+// speedup_elided_vs_nchw and deterministic fields carry the CI gate's
+// verdict (bench/baselines/BENCH_layout_baseline.json).
 //
 // Usage: layout_pipeline [--quick] [--out <path>]
 #include <algorithm>
@@ -22,6 +25,8 @@
 #include "common/random.hpp"
 #include "common/table.hpp"
 #include "nn/forward.hpp"
+#include "nn/memory_plan.hpp"
+#include "nn/plan.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/tensor.hpp"
 
@@ -52,6 +57,19 @@ struct AlgoResult {
   bool bit_identical = false;
 };
 
+/// The same plan with an NCHW handoff at every boundary: unfused ReLU and
+/// a memory plan rebuilt for the NCHW activations.
+wino::nn::ExecutionPlan with_nchw_handoffs(wino::nn::ExecutionPlan plan) {
+  for (wino::nn::LayerPlan& step : plan.steps) {
+    step.output_kind = wino::tensor::LayoutKind::kNCHW;
+    step.out_tile_m = 0;
+    step.fused_relu = false;
+  }
+  plan.nchw_boundaries = plan.boundaries;
+  plan.memory = wino::nn::build_memory_plan(plan);
+  return plan;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -78,9 +96,9 @@ int main(int argc, char** argv) {
   Tensor4f input(batch, 3, hw, hw);
   rng.fill_uniform(input.flat(), -1.0F, 1.0F);
 
-  std::printf("layout_pipeline — layout-planned vs always-NCHW activation "
-              "flow\nscaled VGG16-D (%zux%zu input, batch %zu), %d "
-              "interleaved reps, %zu threads\n\n",
+  std::printf("layout_pipeline — tile-form vs NCHW handoffs, one "
+              "forward(plan) executor\nscaled VGG16-D (%zux%zu input, "
+              "batch %zu), %d interleaved reps, %zu threads\n\n",
               hw, hw, batch, reps,
               wino::runtime::ThreadPool::global().threads());
 
@@ -91,21 +109,27 @@ int main(int argc, char** argv) {
   std::vector<double> all_ratios;
   bool all_identical = true;
   for (const auto algo : algos) {
-    const auto plan = wino::nn::plan_layouts(layers, algo);
+    const wino::nn::ExecutionPlan tiled =
+        wino::nn::uniform_plan(layers, algo);
+    const wino::nn::ExecutionPlan nchw = with_nchw_handoffs(tiled);
     AlgoResult r;
     r.algo = wino::nn::to_string(algo);
-    r.elided_boundaries = plan.elided;
-    r.boundaries = plan.boundaries;
-    r.nchw_floats_elided = plan.nchw_floats_elided;
+    r.elided_boundaries = tiled.boundaries - tiled.nchw_boundaries;
+    r.boundaries = tiled.boundaries;
+    for (std::size_t i = 0; i < r.boundaries; ++i) {
+      if (tiled.steps[i].output_kind == wino::tensor::LayoutKind::kNCHW) {
+        continue;
+      }
+      r.nchw_floats_elided += tiled.memory.act_layout[i].shape.volume();
+    }
 
-    // Warm the transform cache so neither mode pays filter transforms.
-    (void)wino::nn::forward(layers, weights, input, algo,
-                            wino::nn::LayoutPolicy::kAlwaysNCHW);
-    (void)wino::nn::forward(layers, weights, input, algo,
-                            wino::nn::LayoutPolicy::kAuto);
+    // Warm the transform cache and both workspaces so neither side pays
+    // filter transforms or slab growth.
+    (void)wino::nn::forward(nchw, weights, input);
+    (void)wino::nn::forward(tiled, weights, input);
 
-    // Interleave the two modes so frequency/scheduler drift hits both
-    // alike, and alternate which mode runs first each rep so ordering
+    // Interleave the two sides so frequency/scheduler drift hits both
+    // alike, and alternate which side runs first each rep so ordering
     // effects (allocator arenas, cache residency left by the previous
     // call) cancel in the median instead of biasing one side. The first
     // (cold) pair is measured but discarded.
@@ -113,27 +137,21 @@ int main(int argc, char** argv) {
     std::vector<double> elided_secs;
     Tensor4f out_nchw;
     Tensor4f out_elided;
+    const auto timed = [&](const wino::nn::ExecutionPlan& plan,
+                           Tensor4f& out) {
+      const auto t0 = Clock::now();
+      wino::nn::forward(plan, weights, input, out);
+      return seconds_since(t0);
+    };
     for (int rep = 0; rep <= reps; ++rep) {
       double nchw_s = 0;
       double elided_s = 0;
       if (rep % 2 == 0) {
-        auto t0 = Clock::now();
-        out_nchw = wino::nn::forward(layers, weights, input, algo,
-                                     wino::nn::LayoutPolicy::kAlwaysNCHW);
-        nchw_s = seconds_since(t0);
-        t0 = Clock::now();
-        out_elided = wino::nn::forward(layers, weights, input, algo,
-                                       wino::nn::LayoutPolicy::kAuto);
-        elided_s = seconds_since(t0);
+        nchw_s = timed(nchw, out_nchw);
+        elided_s = timed(tiled, out_elided);
       } else {
-        auto t0 = Clock::now();
-        out_elided = wino::nn::forward(layers, weights, input, algo,
-                                       wino::nn::LayoutPolicy::kAuto);
-        elided_s = seconds_since(t0);
-        t0 = Clock::now();
-        out_nchw = wino::nn::forward(layers, weights, input, algo,
-                                     wino::nn::LayoutPolicy::kAlwaysNCHW);
-        nchw_s = seconds_since(t0);
+        elided_s = timed(tiled, out_elided);
+        nchw_s = timed(nchw, out_nchw);
       }
       if (rep == 0) continue;  // cold pair
       nchw_secs.push_back(nchw_s);
@@ -171,12 +189,12 @@ int main(int argc, char** argv) {
 
   const double overall = median(all_ratios);
   const bool elided_wins = overall > 1.0;
-  std::printf("\nelided vs always-NCHW speedup (median of %zu paired "
+  std::printf("\ntile-form vs NCHW handoff speedup (median of %zu paired "
               "reps): %.3fx (%s)\n",
               all_ratios.size(), overall,
               elided_wins ? "elided wins" : "NCHW WINS — regression");
   if (!all_identical) {
-    std::printf("BIT-IDENTITY VIOLATION between layout policies\n");
+    std::printf("BIT-IDENTITY VIOLATION between handoff layouts\n");
     return 1;
   }
 

@@ -25,9 +25,10 @@ using wino::tensor::Tensor4f;
 
 // Usage: ./examples/serve_vgg16 [algo]
 //   algo  convolution algorithm for the served session, parsed by
-//         nn::parse_conv_algo (e.g. "w4", "im2col"); the special name
-//         "planned" registers the session through the cost-model planner
-//         (per-layer mixed algorithms). Default: winograd2.
+//         nn::parse_conv_algo (e.g. "w4", "im2col"; spatial and fft have
+//         no slab form and are rejected); the special name "planned"
+//         registers the session through the cost-model planner (per-layer
+//         mixed algorithms). Default: winograd2.
 int main(int argc, char** argv) {
   const auto layers = wino::nn::vgg16_d_scaled(7, 8);  // 32x32 input
   auto weights = wino::nn::random_weights(layers, 42);
@@ -39,6 +40,7 @@ int main(int argc, char** argv) {
                ? wino::nn::plan_execution(layers)
                : wino::nn::uniform_plan(
                      layers, wino::nn::parse_conv_algo(algo_name));
+    wino::nn::check_executable(plan);
   } catch (const std::invalid_argument& err) {
     std::fprintf(stderr, "%s\n", err.what());
     return 1;

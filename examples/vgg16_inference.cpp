@@ -5,6 +5,9 @@
 // finishes in seconds) with every convolution algorithm in the library,
 // verifying that the logits agree and reporting wall-clock time per
 // algorithm — the software analogue of the paper's engine comparison.
+// Spatial and FFT have no slab form, so their rows run the single-threaded
+// NCHW oracle, forward_reference(uniform_plan(...)); every other row runs
+// the plan executor.
 //
 // Usage: ./examples/vgg16_inference [scale] [channel_div] [threads] [algo]
 //   scale       divides the 224x224 input (default 7 -> 32x32)
@@ -65,7 +68,11 @@ int main(int argc, char** argv) {
   using Clock = std::chrono::steady_clock;
   const auto run = [&](wino::nn::ConvAlgo algo) {
     const auto t0 = Clock::now();
-    auto out = wino::nn::forward(layers, weights, input, algo);
+    auto out = wino::nn::executor_runs(algo)
+                   ? wino::nn::forward(layers, weights, input, algo)
+                   : wino::nn::forward_reference(
+                         wino::nn::uniform_plan(layers, algo), weights,
+                         input);
     const auto dt = std::chrono::duration<double, std::milli>(
         Clock::now() - t0);
     return std::pair{std::move(out), dt.count()};

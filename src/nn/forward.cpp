@@ -58,6 +58,10 @@ int int8_winograd_m(ConvAlgo algo) {
   }
 }
 
+bool executor_runs(ConvAlgo algo) {
+  return algo != ConvAlgo::kSpatial && algo != ConvAlgo::kFft;
+}
+
 namespace {
 
 /// One cached per-layer Winograd prep: the compiled F(m x m, r x r)
@@ -384,94 +388,12 @@ WeightBank random_weights(const std::vector<LayerSpec>& layers,
 
 namespace {
 
-/// Legacy data flow (LayoutPolicy::kAlwaysNCHW): every layer boundary
-/// materialises the NCHW tensor and ReLU runs as a separate pass. Kept
-/// verbatim as the reference the layout-planned path is pinned
-/// bit-identical against.
-Tensor4f forward_sequential_nchw(const std::vector<LayerSpec>& layers,
-                                 const WeightBank& weights,
-                                 const Tensor4f& input, ConvAlgo algo) {
-  Tensor4f act = input;
-  std::size_t conv_idx = 0;
-  std::size_t fc_idx = 0;
-  for (const auto& l : layers) {
-    switch (l.kind) {
-      case LayerKind::kConv: {
-        if (conv_idx >= weights.conv_kernels.size()) {
-          throw std::invalid_argument("forward: missing conv weights");
-        }
-        const Tensor4f& kern = weights.conv_kernels[conv_idx];
-        if (const int m = winograd_m(algo); m > 0) {
-          // Serving path: filter transforms come from the cross-call
-          // cache instead of being recomputed per image and per call.
-          const auto entry = transform_cache().get(
-              {weights.version, conv_idx, m, kern.shape().h}, kern);
-          winograd::WinogradConvOptions wopt;
-          wopt.pad = l.conv.pad;
-          act = winograd::conv2d_winograd(act, entry->tk, entry->xf, wopt);
-        } else {
-          act = run_conv(algo, act, kern, l.conv.pad);
-        }
-        ++conv_idx;
-        relu_inplace(act);
-        break;
-      }
-      case LayerKind::kMaxPool:
-        act = maxpool2x2(act);
-        break;
-      case LayerKind::kFullyConnected: {
-        if (fc_idx >= weights.fc_weights.size()) {
-          throw std::invalid_argument("forward: missing fc weights");
-        }
-        act = fully_connected(act, weights.fc_weights[fc_idx],
-                              weights.fc_bias[fc_idx], l.fc_out);
-        ++fc_idx;
-        if (fc_idx < weights.fc_weights.size()) relu_inplace(act);
-        break;
-      }
-    }
-  }
-  return act;
-}
-
 /// The calling thread's execution arena. Pool worker threads and serve
 /// worker threads each get their own; slabs grow monotonically and live
 /// for the thread's lifetime, so the steady state allocates nothing.
 Workspace& thread_workspace() {
   static thread_local Workspace ws;
   return ws;
-}
-
-/// Materialise the current activation as an owning NCHW tensor — the
-/// bridge into the allocating fallback kernels (spatial/FFT convs, and
-/// defensively any layout the planned kernels do not cover).
-Tensor4f materialize_nchw(const tensor::Layout& cur_layout,
-                          std::span<const float> cur) {
-  if (cur_layout.kind == tensor::LayoutKind::kNCHW) {
-    Tensor4f t(cur_layout.shape);
-    std::copy(cur.begin(), cur.end(), t.flat().begin());
-    return t;
-  }
-  tensor::PackedActivation packed{
-      cur_layout, std::vector<float>(cur.begin(), cur.end())};
-  return tensor::unpack(packed);
-}
-
-/// Store an owning NCHW tensor into the planned output buffer, packing
-/// first when the plan wants tile form (defensive: the layout pass only
-/// plans NCHW outputs for fallback layers).
-void store_activation(const Tensor4f& t, const tensor::Layout& ol,
-                      std::span<float> obuf) {
-  if (!(t.shape() == ol.shape)) {
-    throw std::invalid_argument("forward: plan layer geometry mismatch");
-  }
-  if (ol.kind == tensor::LayoutKind::kNCHW) {
-    const auto src = t.flat();
-    std::copy(src.begin(), src.end(), obuf.begin());
-    return;
-  }
-  const tensor::PackedActivation packed = tensor::pack(t, ol);
-  std::copy(packed.data.begin(), packed.data.end(), obuf.begin());
 }
 
 /// Plan-driven data flow over one contiguous sub-batch, executing against
@@ -483,11 +405,12 @@ void store_activation(const Tensor4f& t, const tensor::Layout& ol,
 /// producer tile edge, so mixed-m boundaries need no repack); the tiled
 /// maxpool pools directly on whatever form arrives; im2col layers lower
 /// into a slab-carved panel and GEMM straight into the output activation;
-/// spatial/FFT convs keep their allocating kernels behind a materialise/
-/// store bridge. Bit-identical to forward_reference (the per-layer
-/// always-NCHW composition): conversions are value-preserving
-/// permutations and all arithmetic runs in the same order on the same
-/// values (pinned by tests/nn_forward_test.cpp and tests/nn_plan_test.cpp).
+/// int8 layers quantize and dequantize between slab-backed NCHW buffers.
+/// The plan must have passed check_executable. Bit-identical to
+/// forward_reference (the per-layer always-NCHW composition): conversions
+/// are value-preserving permutations and all arithmetic runs in the same
+/// order on the same values (pinned by tests/nn_forward_test.cpp and
+/// tests/nn_plan_test.cpp).
 void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
                      const WeightBank& weights, std::size_t images,
                      std::span<const float> in, std::span<float> out,
@@ -541,9 +464,7 @@ void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
             // max(0, .)).
             for (float& v : obuf) v = v > 0.0F ? v : 0.0F;
           }
-        } else if (step.algo == ConvAlgo::kIm2col &&
-                   cur_layout.kind == LayoutKind::kNCHW &&
-                   ol.kind == LayoutKind::kNCHW) {
+        } else if (step.algo == ConvAlgo::kIm2col) {
           // Lower one image at a time into the slab-carved panel — one
           // panel alive per walk, sized once per layer — and GEMM each
           // image's rows directly into its output slice: the legacy
@@ -578,18 +499,16 @@ void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
                        kcount, inner, cols);
           }
           for (float& v : obuf) v = v > 0.0F ? v : 0.0F;
-        } else if (is_int8(step.algo) &&
-                   cur_layout.kind == LayoutKind::kNCHW &&
-                   ol.kind == LayoutKind::kNCHW) {
-          // Quantized fast path: the int8 banks come from the cross-call
-          // quant cache (weights quantized once per frozen model), the
-          // int8 cores read the slab-backed NCHW activation through a
-          // view and dequantize straight into the output activation with
-          // ReLU fused into the store — max(0, x) on the same value the
-          // unfused composition would produce. The activation scale is
-          // the plan's static calibration scale (or per-image when the
-          // plan carries none), so batching and threading cannot perturb
-          // results.
+        } else {
+          // The int8 family (check_executable admits nothing else here):
+          // the int8 banks come from the cross-call quant cache (weights
+          // quantized once per frozen model), the int8 cores read the
+          // slab-backed NCHW activation through a view and dequantize
+          // straight into the output activation with ReLU fused into the
+          // store — max(0, x) on the same value the unfused composition
+          // would produce. The activation scale is the plan's static
+          // calibration scale (or per-image when the plan carries none),
+          // so batching and threading cannot perturb results.
           const auto entry = quant_cache().get(
               {weights.version, conv_idx, int8_winograd_m(step.algo),
                kern.shape().h},
@@ -619,12 +538,6 @@ void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
                                              /*fuse_relu=*/true, obuf,
                                              scratch);
           }
-        } else {
-          const Tensor4f in_t = materialize_nchw(cur_layout, cur);
-          Tensor4f out_t =
-              run_conv(step.algo, in_t, kern, l.conv.pad, step.act_scale);
-          relu_inplace(out_t);
-          store_activation(out_t, ol, obuf);
         }
         ++conv_idx;
         break;
@@ -646,17 +559,6 @@ void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
       case LayerKind::kFullyConnected: {
         if (fc_idx >= weights.fc_weights.size()) {
           throw std::invalid_argument("forward: missing fc weights");
-        }
-        if (cur_layout.kind != LayoutKind::kNCHW) {
-          // Defensive: the layout pass always plans NCHW into FC.
-          const Tensor4f in_t = materialize_nchw(cur_layout, cur);
-          Tensor4f out_t =
-              fully_connected(in_t, weights.fc_weights[fc_idx],
-                              weights.fc_bias[fc_idx], l.fc_out);
-          ++fc_idx;
-          if (fc_idx < weights.fc_weights.size()) relu_inplace(out_t);
-          store_activation(out_t, ol, obuf);
-          break;
         }
         // fully_connected's loop verbatim, reading/writing flat spans.
         const auto& s = cur_layout.shape;
@@ -696,27 +598,12 @@ void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
 /// Populate the transform cache for every conv layer before the batch
 /// fans out, so worker chunks never serialise on a cold cache (the cache
 /// mutex would make them take turns building the same entry's siblings).
-void prewarm_transforms(const std::vector<LayerSpec>& layers,
-                        const WeightBank& weights, ConvAlgo algo) {
-  const int m = winograd_m(algo);
-  if (m == 0) return;
-  std::size_t conv_idx = 0;
-  for (const auto& l : layers) {
-    if (l.kind != LayerKind::kConv) continue;
-    if (conv_idx >= weights.conv_kernels.size()) break;
-    const Tensor4f& kern = weights.conv_kernels[conv_idx];
-    transform_cache().get({weights.version, conv_idx, m, kern.shape().h},
-                          kern);
-    ++conv_idx;
-  }
-}
-
-/// Plan-aware prewarm: the cache key already carries a per-layer m, so a
-/// mixed-m plan simply warms each conv layer's own (layer, m, r) entry.
-/// Quantized layers warm the int8 bank cache instead — this is where
-/// "per-channel weight scales computed at model registration" happens
-/// (serve::InferenceServer::add_model calls prewarm_workspaces, which
-/// lands here before the first request).
+/// The cache key carries a per-layer m, so a mixed-m plan simply warms
+/// each conv layer's own (layer, m, r) entry. Quantized layers warm the
+/// int8 bank cache instead — this is where "per-channel weight scales
+/// computed at model registration" happens (serve::InferenceServer::
+/// add_model calls prewarm_workspaces, which lands here before the first
+/// request).
 void prewarm_transforms(const ExecutionPlan& plan, const WeightBank& weights) {
   std::size_t conv_idx = 0;
   for (std::size_t li = 0; li < plan.layers.size(); ++li) {
@@ -752,37 +639,17 @@ std::size_t winograd_layer_bytes(const ConvLayerSpec& l, int m) {
          (mu * mu);
 }
 
-/// Images a worker chunk marches through the stack together when filter
-/// transforms come from the cross-call cache. Larger sub-batches feed the
-/// Winograd coordinate GEMMs more rows (packing amortised over the batch),
-/// but multiply the transform-domain working set — (m+r-1)²/m² times the
-/// fattest layer's activations per image — so the size is capped to keep
-/// that set cache-resident. Chunk composition never changes results
-/// (image independence; pinned by tests/serve_test.cpp).
-std::size_t cached_subbatch(const std::vector<LayerSpec>& layers, int m) {
-  std::size_t worst_bytes = 1;
-  for (const auto& l : layers) {
-    if (l.kind != LayerKind::kConv) continue;
-    worst_bytes = std::max(worst_bytes, winograd_layer_bytes(l.conv, m));
-  }
-  return std::max<std::size_t>(1, kSubbatchCacheBudget / worst_bytes);
-}
-
-/// cached_subbatch generalised to a mixed-m plan: each Winograd layer's
-/// transform-domain working set is sized with that layer's own m. Plans
-/// with no Winograd layer have no cross-call cached transforms, so the
-/// whole range stays one chunk per thread — `batch` (the full range)
-/// comes back rather than an unbounded sentinel, keeping the caller's
-/// `i += cap` chunk walk overflow-free.
-///
-/// Known trade-off: in a plan mixing Winograd with an FFT layer, the
-/// Winograd cache budget wins and the FFT layer re-derives its per-call
-/// kernel FFTs once per sub-batch instead of the legacy once per thread
-/// chunk. Deliberate: the measured planner picks kFft only where FFT
-/// actually wins the layer (rare at r = 3), while every Winograd layer
-/// in the plan benefits from cache-resident chunks on every batch.
-/// Cross-call FFT kernel caching would dissolve the tension if such
-/// plans become common.
+/// Images a worker chunk marches through the stack together. Winograd
+/// layers read filter transforms from the cross-call cache, and larger
+/// sub-batches feed their coordinate GEMMs more rows (packing amortised
+/// over the batch), but multiply the transform-domain working set —
+/// (m+r-1)²/m² times the fattest layer's activations per image — so the
+/// size is capped to keep that set cache-resident, each layer sized with
+/// its own m. Chunk composition never changes results (image
+/// independence; pinned by tests/serve_test.cpp). Plans with no Winograd
+/// layer have no such working set, so the whole range stays one chunk per
+/// thread — `batch` (the full range) comes back rather than an unbounded
+/// sentinel, keeping the caller's `i += cap` chunk walk overflow-free.
 std::size_t plan_subbatch(const ExecutionPlan& plan, std::size_t batch) {
   std::size_t worst_bytes = 0;
   for (std::size_t li = 0; li < plan.layers.size(); ++li) {
@@ -797,78 +664,7 @@ std::size_t plan_subbatch(const ExecutionPlan& plan, std::size_t batch) {
   return std::max<std::size_t>(1, kSubbatchCacheBudget / worst_bytes);
 }
 
-/// Output shape of the layer stack for an input shape — the legacy
-/// batched path preallocates the full batch output from this and workers
-/// write their chunks straight into it. Throws the kernels' own
-/// invalid_argument messages when the geometry is impossible, before any
-/// work fans out.
-tensor::Shape4 walk_output_shape(const std::vector<LayerSpec>& layers,
-                                 tensor::Shape4 s) {
-  for (const auto& l : layers) {
-    switch (l.kind) {
-      case LayerKind::kConv: {
-        const std::ptrdiff_t oh = static_cast<std::ptrdiff_t>(s.h) +
-                                  2 * l.conv.pad -
-                                  static_cast<std::ptrdiff_t>(l.conv.r) + 1;
-        const std::ptrdiff_t ow = static_cast<std::ptrdiff_t>(s.w) +
-                                  2 * l.conv.pad -
-                                  static_cast<std::ptrdiff_t>(l.conv.r) + 1;
-        if (oh <= 0 || ow <= 0) {
-          throw std::invalid_argument("forward: conv output would be empty");
-        }
-        s = {s.n, l.conv.k, static_cast<std::size_t>(oh),
-             static_cast<std::size_t>(ow)};
-        break;
-      }
-      case LayerKind::kMaxPool:
-        if (s.h < 2 || s.w < 2) {
-          throw std::invalid_argument("maxpool2x2: input too small");
-        }
-        s = {s.n, s.c, s.h / 2, s.w / 2};
-        break;
-      case LayerKind::kFullyConnected:
-        s = {s.n, l.fc_out, 1, 1};
-        break;
-    }
-  }
-  return s;
-}
-
 }  // namespace
-
-std::string to_string(LayoutPolicy policy) {
-  switch (policy) {
-    case LayoutPolicy::kAuto:
-      return "auto-layout";
-    case LayoutPolicy::kAlwaysNCHW:
-      return "always-nchw";
-  }
-  return "unknown";
-}
-
-LayoutPlan plan_layouts(const std::vector<LayerSpec>& layers,
-                        ConvAlgo algo) {
-  LayoutPlan plan;
-  plan.output_kind.assign(layers.size(), tensor::LayoutKind::kNCHW);
-  plan.boundaries = layers.empty() ? 0 : layers.size() - 1;
-  const int m = winograd_m(algo);
-  if (m == 0) return plan;  // only the Winograd backends have a tiled form
-  for (std::size_t i = 0; i + 1 < layers.size(); ++i) {
-    // Elision rule: a Winograd conv feeding another conv layer of the same
-    // algo (same m by construction — the algo is per-call) keeps its
-    // output in tile form; the consumer's gather reads tiles directly.
-    // Maxpool / FC / the final output force NCHW, so those boundaries
-    // stay at the lattice top.
-    if (layers[i].kind != LayerKind::kConv) continue;
-    if (layers[i + 1].kind != LayerKind::kConv) continue;
-    plan.output_kind[i] = tensor::LayoutKind::kWinogradTile;
-    ++plan.elided;
-    const auto& c = layers[i].conv;
-    plan.nchw_floats_elided +=
-        static_cast<std::uint64_t>(c.k) * c.out_h() * c.out_w();
-  }
-  return plan;
-}
 
 std::size_t plan_batch_ceiling(const ExecutionPlan& plan) {
   // plan_subbatch with batch = 0: plans with no Winograd layer return the
@@ -878,12 +674,42 @@ std::size_t plan_batch_ceiling(const ExecutionPlan& plan) {
   return plan_subbatch(plan, 0);
 }
 
-void forward(const ExecutionPlan& plan, const WeightBank& weights,
-             const Tensor4f& input, Tensor4f& out) {
+void check_executable(const ExecutionPlan& plan) {
   if (plan.steps.size() != plan.layers.size()) {
     throw std::invalid_argument(
         "forward: plan steps do not match its layer stack");
   }
+  using tensor::LayoutKind;
+  LayoutKind in_kind = LayoutKind::kNCHW;
+  for (std::size_t li = 0; li < plan.layers.size(); ++li) {
+    const LayerPlan& step = plan.steps[li];
+    const bool conv = plan.layers[li].kind == LayerKind::kConv;
+    // Only Winograd convs and pools gather or scatter tile form.
+    const bool tiles = conv ? winograd_m(step.algo) > 0
+                            : plan.layers[li].kind == LayerKind::kMaxPool;
+    const bool last = li + 1 == plan.layers.size();
+    const char* why = nullptr;
+    if (conv && !executor_runs(step.algo)) {
+      why = "has no slab form (run it through forward_reference)";
+    } else if (step.output_kind != LayoutKind::kNCHW &&
+               (step.output_kind != LayoutKind::kWinogradTile || !tiles ||
+                last)) {
+      why = "cannot write its planned output layout";
+    } else if (in_kind != LayoutKind::kNCHW && !tiles) {
+      why = "reads NCHW only, but the plan hands it tile form";
+    }
+    if (why != nullptr) {
+      throw std::invalid_argument(
+          "forward: layer " + std::to_string(li) +
+          (conv ? " (conv " + to_string(step.algo) + ") " : " ") + why);
+    }
+    in_kind = step.output_kind;
+  }
+}
+
+void forward(const ExecutionPlan& plan, const WeightBank& weights,
+             const Tensor4f& input, Tensor4f& out) {
+  check_executable(plan);
   const auto& is = input.shape();
   if (plan.layers.empty()) {
     out = input;
@@ -942,10 +768,7 @@ Tensor4f forward(const ExecutionPlan& plan, const WeightBank& weights,
 
 void prewarm_workspaces(const ExecutionPlan& plan, const WeightBank& weights,
                         std::size_t max_images) {
-  if (plan.steps.size() != plan.layers.size()) {
-    throw std::invalid_argument(
-        "forward: plan steps do not match its layer stack");
-  }
+  check_executable(plan);
   prewarm_transforms(plan, weights);
   if (plan.memory.empty()) return;
   const std::size_t imgs = std::max<std::size_t>(1, max_images);
@@ -966,51 +789,8 @@ std::size_t thread_workspace_bytes() {
 
 Tensor4f forward(const std::vector<LayerSpec>& layers,
                  const WeightBank& weights, const Tensor4f& input,
-                 ConvAlgo algo, LayoutPolicy policy) {
-  if (policy == LayoutPolicy::kAuto) {
-    // The uniform-algo entry is a thin wrapper over the plan executor.
-    return forward(uniform_plan(layers, algo), weights, input);
-  }
-  // Legacy reference flow: NCHW at every boundary, separate ReLU pass.
-  // For algorithms with real per-call kernel preprocessing (FFT kernel
-  // transforms) the split is per-thread sub-batches, keeping that prep to
-  // at most thread-count repeats; Winograd chunks are cache-budgeted as in
-  // the planned path.
-  prewarm_transforms(layers, weights, algo);
-  const auto& is = input.shape();
-  if (is.n <= 1) {
-    return forward_sequential_nchw(layers, weights, input, algo);
-  }
-  const int wino_m = winograd_m(algo);
-  const std::size_t cap =
-      wino_m > 0 ? cached_subbatch(layers, wino_m) : is.n;
-  // Chunked fan-out into a preallocated batch output: each worker still
-  // copies its sub-batch into a local owning tensor (the legacy kernels
-  // take Tensor4f), but results land straight in the batch output instead
-  // of every chunk staying alive until a final stitch pass.
-  const tensor::Shape4 os = walk_output_shape(layers, is);
-  Tensor4f out(os);
-  const std::size_t ivol = is.c * is.h * is.w;
-  const std::size_t ovol = os.c * os.h * os.w;
-  const std::span<const float> in_flat = input.flat();
-  const std::span<float> out_flat = out.flat();
-  runtime::parallel_for(is.n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; i += cap) {
-      const std::size_t count = std::min(cap, end - i);
-      Tensor4f sub(count, is.c, is.h, is.w);
-      const auto src = in_flat.subspan(i * ivol, count * ivol);
-      std::copy(src.begin(), src.end(), sub.flat().begin());
-      const Tensor4f res =
-          forward_sequential_nchw(layers, weights, sub, algo);
-      if (res.size() != count * ovol) {
-        throw std::logic_error("forward: unexpected chunk output size");
-      }
-      const auto rsrc = res.flat();
-      std::copy(rsrc.begin(), rsrc.end(),
-                out_flat.begin() + static_cast<std::ptrdiff_t>(i * ovol));
-    }
-  });
-  return out;
+                 ConvAlgo algo) {
+  return forward(uniform_plan(layers, algo), weights, input);
 }
 
 Tensor4f stack_images(const std::vector<const Tensor4f*>& images) {

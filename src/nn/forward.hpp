@@ -1,18 +1,19 @@
 // Numerical forward pass with a pluggable convolution algorithm.
 //
 // Lets the examples and tests run (scaled) CNN inference where every conv
-// layer is computed by spatial / im2col / FFT / Winograd-F(m) and the
-// results are cross-checked — the software analogue of swapping the
-// paper's convolution engine in and out of the datapath.
+// layer is computed by im2col / Winograd-F(m) / int8 and the results are
+// cross-checked — the software analogue of swapping the paper's
+// convolution engine in and out of one fixed datapath. There is one
+// executor, the plan-driven forward(ExecutionPlan) in nn/plan.hpp (the
+// ConvAlgo overload below wraps it), and one NCHW oracle,
+// forward_reference, which also runs the spatial and FFT baselines.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "nn/network.hpp"
-#include "tensor/layout.hpp"
 #include "tensor/tensor.hpp"
 
 namespace wino::nn {
@@ -22,9 +23,9 @@ namespace wino::nn {
 /// operands, exact int32 accumulation, fp32 dequantize — selected per
 /// layer by the planner under an accuracy budget (PlanConstraints).
 enum class ConvAlgo {
-  kSpatial,
+  kSpatial,        ///< direct loops; run_conv / forward_reference only
   kIm2col,
-  kFft,
+  kFft,            ///< FFT convolution; run_conv / forward_reference only
   kWinograd2,      ///< F(2x2, 3x3)
   kWinograd3,      ///< F(3x3, 3x3)
   kWinograd4,      ///< F(4x4, 3x3)
@@ -56,6 +57,11 @@ enum class ConvAlgo {
 /// F(m) output-tile edge of the int8 Winograd algos; 0 for every other
 /// algorithm (including kInt8Im2col).
 [[nodiscard]] int int8_winograd_m(ConvAlgo algo);
+
+/// True for the algorithms the plan executor runs out of its slab
+/// (Winograd, im2col and the int8 family); false for kSpatial and kFft,
+/// which only run_conv and forward_reference dispatch.
+[[nodiscard]] bool executor_runs(ConvAlgo algo);
 
 /// Dispatch one convolution (stride 1) with the chosen algorithm.
 tensor::Tensor4f run_conv(ConvAlgo algo, const tensor::Tensor4f& input,
@@ -105,59 +111,14 @@ struct WeightBank {
 WeightBank random_weights(const std::vector<LayerSpec>& layers,
                           std::uint64_t seed = 1);
 
-/// How forward() carries activations between layers.
-enum class LayoutPolicy {
-  /// Plan per-layer activation layouts from each backend's preference and
-  /// elide the unpack -> repack pair when consecutive layers agree:
-  /// chains of Winograd conv layers hand off in m x m tile form with ReLU
-  /// fused into the (post-inverse) output scatter, and im2col layers
-  /// consume explicitly packed patch panels. Bit-identical to
-  /// kAlwaysNCHW — layouts are pure permutations and ReLU is the same
-  /// formula on the same values (pinned by tests/nn_forward_test.cpp).
-  kAuto,
-  /// Legacy data flow: every layer boundary materialises the NCHW tensor
-  /// and ReLU runs as a separate full-tensor pass.
-  kAlwaysNCHW,
-};
-
-[[nodiscard]] std::string to_string(LayoutPolicy policy);
-
-/// The layout decisions forward(kAuto) makes for one (layers, algo) pair:
-/// the layout each layer's output is handed to the next layer in, plus
-/// summary counters for benches and tests.
-struct LayoutPlan {
-  /// Per layer: the layout of that layer's output activation.
-  std::vector<tensor::LayoutKind> output_kind;
-  /// conv -> conv boundaries whose NCHW round-trip was elided.
-  std::size_t elided = 0;
-  /// Total layer -> layer boundaries (layers.size() - 1).
-  std::size_t boundaries = 0;
-  /// Per-image activation floats that never materialise in NCHW thanks to
-  /// the elisions (the sum of the elided boundaries' feature-map volumes).
-  std::uint64_t nchw_floats_elided = 0;
-};
-
-/// Walk the layer graph and pick each boundary's handoff layout from the
-/// backends' preferences: a Winograd conv layer followed by another conv
-/// layer under a Winograd algo keeps its output in tile form; any boundary
-/// into a maxpool / fully-connected / non-Winograd conv layer (and the
-/// final output) is NCHW.
-///
-/// Legacy single-algo reporting pass, kept for the layout bench and its
-/// tests: execution itself now derives layouts from the per-layer
-/// ExecutionPlan (nn/plan.hpp), whose rules extend these with mixed-m
-/// handoffs and tiled maxpool boundaries.
-[[nodiscard]] LayoutPlan plan_layouts(const std::vector<LayerSpec>& layers,
-                                      ConvAlgo algo);
-
 /// Run the layer stack; conv layers use `algo`. Input must match the first
 /// layer's (c, h, w). Returns the final activation tensor.
 ///
-/// Under kAuto this is a thin wrapper over the per-layer execution engine:
-/// it builds the trivial uniform plan (every conv layer runs `algo`; see
-/// nn/plan.hpp) and executes it with the plan-driven forward(ExecutionPlan)
-/// overload. The cost-model planner (plan_execution) produces mixed
-/// per-layer plans for the same executor.
+/// A thin wrapper over the plan executor: forward(uniform_plan(layers,
+/// algo), weights, input) (see nn/plan.hpp). The cost-model planner
+/// (plan_execution) produces mixed per-layer plans for the same executor.
+/// `algo` must be one the executor runs (executor_runs); kSpatial and kFft
+/// throw std::invalid_argument — run them through forward_reference.
 ///
 /// Batches run image-parallel on the runtime's global ThreadPool; every
 /// layer treats images independently, so the result is bit-identical for
@@ -170,13 +131,9 @@ struct LayoutPlan {
 /// \param weights weights produced by random_weights() for the same stack.
 /// \param input   NCHW activation batch matching the first layer.
 /// \param algo    convolution algorithm for every conv layer.
-/// \param policy  activation layout handling; kAuto (the default) plans
-///                layouts per plan_layouts() and is bit-identical to
-///                kAlwaysNCHW at every element.
 tensor::Tensor4f forward(const std::vector<LayerSpec>& layers,
                          const WeightBank& weights,
-                         const tensor::Tensor4f& input, ConvAlgo algo,
-                         LayoutPolicy policy = LayoutPolicy::kAuto);
+                         const tensor::Tensor4f& input, ConvAlgo algo);
 
 /// Batch-entry API: pack independently owned image tensors into one
 /// contiguous NCHW batch for forward(). Every entry must share the same
@@ -212,8 +169,9 @@ void clear_transform_cache();
 
 /// A spatially scaled-down VGG16-D-like stack (same channel progression,
 /// reduced resolution) so end-to-end inference is test-sized. `scale`
-/// divides the 224 x 224 input (must divide 224 and keep >= 32 px... the
-/// standard choice is scale = 7 -> 32 x 32 input).
+/// must divide 224 and the input is (224 / scale) px square: the standard
+/// scale = 7 gives 32 x 32, and the tests' 14 and 28 give 16 x 16 and
+/// 8 x 8 (pools stop once the map is down to 1 px).
 std::vector<LayerSpec> vgg16_d_scaled(std::size_t scale,
                                       std::size_t channel_div = 8);
 

@@ -225,9 +225,8 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input,
           scratch_bytes = measure.used();
           record_wino(static_cast<std::size_t>(qm), /*is_int8=*/true);
         }
-        // Spatial/FFT conv steps keep their allocating kernels (the plan
-        // executor materialises an NCHW tensor for them); no planned
-        // scratch.
+        // Spatial/FFT steps have no slab form: check_executable rejects
+        // them before the executor runs, so they plan no scratch.
         break;
       }
       case LayerKind::kMaxPool: {

@@ -679,6 +679,13 @@ ExecutionPlan plan_execution(const std::vector<LayerSpec>& layers,
   if (options.candidates.empty()) {
     throw std::invalid_argument("plan_execution: no candidate algorithms");
   }
+  for (const ConvAlgo algo : options.candidates) {
+    if (!executor_runs(algo)) {
+      throw std::invalid_argument("plan_execution: candidate " +
+                                  nn::to_string(algo) +
+                                  " has no slab form (forward_reference only)");
+    }
+  }
   ExecutionPlan plan;
   plan.layers = layers;
   plan.steps.assign(layers.size(), LayerPlan{});
@@ -747,7 +754,7 @@ ExecutionPlan plan_execution(const std::vector<LayerSpec>& layers,
 }
 
 ExecutionPlan uniform_plan(const std::vector<LayerSpec>& layers,
-                           ConvAlgo algo, LayoutPolicy policy) {
+                           ConvAlgo algo) {
   ExecutionPlan plan;
   plan.layers = layers;
   plan.steps.assign(layers.size(), LayerPlan{});
@@ -756,18 +763,7 @@ ExecutionPlan uniform_plan(const std::vector<LayerSpec>& layers,
     // is never read), matching plan_execution's output shape exactly.
     if (layers[i].kind == LayerKind::kConv) plan.steps[i].algo = algo;
   }
-  if (policy == LayoutPolicy::kAuto) {
-    replan_layouts(plan);
-  } else {
-    plan.boundaries = layers.empty() ? 0 : layers.size() - 1;
-    plan.nchw_boundaries = plan.boundaries;
-    try {
-      plan.memory = build_memory_plan(plan);
-    } catch (const std::exception&) {
-      // Same fallback as replan_layouts: forward() rebuilds as needed.
-    }
-    plan.batch_ceiling = plan_batch_ceiling(plan);
-  }
+  replan_layouts(plan);
   return plan;
 }
 

@@ -6,28 +6,28 @@
 // *per layer*: the balance shifts with each layer's H/W/C/K, so one m for
 // the whole network leaves performance behind. This header turns that
 // observation into the runtime's execution model. A planner scores every
-// candidate algorithm (spatial / im2col / FFT / Winograd m in {2, 3, 4})
+// candidate algorithm (im2col / Winograd m in {2, 3, 4}, optionally int8)
 // for every conv layer with the dse:: complexity equations — evaluated
 // with exact ragged-tile counts, which is what makes the best m genuinely
 // layer-dependent on small late-network maps — calibrated against GFLOP/s
 // measured once per process by a microbenchmark probe. The result is an
 // ExecutionPlan: one decision record per layer {algo, output layout,
 // fused ReLU}, executed by the plan-driven nn::forward(ExecutionPlan)
-// overload (src/nn/forward.cpp).
+// overload (src/nn/forward.cpp) — the runtime's only executor.
 //
-// Layout handling generalises the PR 4 single-algo pass (plan_layouts) to
-// mixed m: a W4 layer hands tiles straight to a W2 layer — the consumer's
-// gather reads any producer tile edge, so no repack materialises (the
-// tensor::repack utility exists for consumers that do need re-blocking) —
-// and the tiled maxpool (maxpool2x2_packed) pools 2x2/s2 directly on tile
-// form, so conv -> pool -> conv chains never round-trip through NCHW.
+// Layout handling covers mixed m: a W4 layer hands tiles straight to a W2
+// layer — the consumer's gather reads any producer tile edge, so no
+// repack materialises (the tensor::repack utility exists for consumers
+// that do need re-blocking) — and the tiled maxpool (maxpool2x2_packed)
+// pools 2x2/s2 directly on tile form, so conv -> pool -> conv chains never
+// round-trip through NCHW.
 //
 // Determinism contract: forward(plan) is bit-identical to composing the
 // same per-layer algorithms through the always-NCHW reference path
-// (forward_reference), at every batch size and thread count — layouts are
-// pure permutations, the tiled maxpool takes the same maxes in the same
-// order, and fused ReLU is the same formula on the same values. Pinned by
-// tests/nn_plan_test.cpp.
+// (forward_reference, the only NCHW oracle), at every batch size and
+// thread count — layouts are pure permutations, the tiled maxpool takes
+// the same maxes in the same order, and fused ReLU is the same formula on
+// the same values. Pinned by tests/nn_plan_test.cpp.
 #pragma once
 
 #include <cstddef>
@@ -283,9 +283,11 @@ struct QuantCalibration {
 /// Planner knobs.
 struct PlannerOptions {
   /// Candidate algorithms, tried in order; ties keep the earliest listed.
+  /// Every one must be executor_runs: plan_execution rejects kSpatial and
+  /// kFft, which have no slab form.
   std::vector<ConvAlgo> candidates = {
       ConvAlgo::kWinograd2, ConvAlgo::kWinograd3, ConvAlgo::kWinograd4,
-      ConvAlgo::kIm2col,    ConvAlgo::kFft,       ConvAlgo::kSpatial};
+      ConvAlgo::kIm2col};
   /// How candidates are scored. nullopt (the default): every candidate is
   /// *measured* at each conv layer's own geometry by the microbenchmark
   /// probe (measure_layer_ms — cached per process, so planning many
@@ -335,15 +337,25 @@ struct PlannerOptions {
 /// whenever the consumer (conv or maxpool) can gather it, pools consume
 /// tile form and emit tiles sized for the next Winograd conv, and every
 /// boundary into FC / non-Winograd conv / the final output is NCHW.
-/// Deterministic: same layers + same calibration -> same plan.
+/// Deterministic: same layers + same calibration -> same plan. Throws
+/// std::invalid_argument when a candidate is not executor_runs.
 [[nodiscard]] ExecutionPlan plan_execution(
     const std::vector<LayerSpec>& layers, const PlannerOptions& options = {});
 
 /// Re-run the layout pass over a plan whose per-layer algorithms were
 /// edited (tests and tools build bespoke mixed plans this way): recomputes
 /// every output_kind / out_tile_m / fused_relu decision and the summary
-/// counters from the current algo assignments.
+/// counters from the current algo assignments. Does not validate: a plan
+/// it leaves with spatial / FFT steps is still a forward_reference plan.
 void replan_layouts(ExecutionPlan& plan);
+
+/// Reject a plan with a step the slab executor cannot run, before any
+/// request touches it: a kSpatial or kFft conv step; tile form into or out
+/// of anything but a Winograd conv or a maxpool (im2col, int8, FC); an
+/// output layout other than NCHW / Winograd tile; or a tile-form network
+/// output. Throws std::invalid_argument naming the layer. forward(plan)
+/// and prewarm_workspaces (so InferenceServer::add_model) call it.
+void check_executable(const ExecutionPlan& plan);
 
 /// The plan's cache-derived batch ceiling (see ExecutionPlan::
 /// batch_ceiling): largest worker-chunk image count whose worst Winograd
@@ -353,19 +365,18 @@ void replan_layouts(ExecutionPlan& plan);
 /// ceiling and the forward-side chunking cannot disagree.
 [[nodiscard]] std::size_t plan_batch_ceiling(const ExecutionPlan& plan);
 
-/// The trivial plan the legacy forward(..., ConvAlgo, ...) overload wraps:
-/// every conv layer runs `algo`, with the same layout pass as
-/// plan_execution (under LayoutPolicy::kAlwaysNCHW every boundary is NCHW
-/// and nothing fuses — the legacy reference data flow).
-[[nodiscard]] ExecutionPlan uniform_plan(
-    const std::vector<LayerSpec>& layers, ConvAlgo algo,
-    LayoutPolicy policy = LayoutPolicy::kAuto);
+/// The trivial plan the forward(..., ConvAlgo) overload wraps: every conv
+/// layer runs `algo`, with the same layout pass as plan_execution. Any
+/// algo is accepted, so uniform_plan(layers, kFft) is a valid
+/// forward_reference plan; forward() rejects it (check_executable).
+[[nodiscard]] ExecutionPlan uniform_plan(const std::vector<LayerSpec>& layers,
+                                         ConvAlgo algo);
 
-/// Execute a plan. Batches fan out image-parallel on the global
-/// ThreadPool in cache-budgeted sub-batches exactly like the uniform-algo
-/// forward (bit-identical for any thread count / chunking); Winograd
-/// layers read filter transforms from the cross-call cache, prewarmed per
-/// plan so worker chunks never serialise on a cold cache.
+/// Execute a plan (after check_executable). Batches fan out image-parallel
+/// on the global ThreadPool in cache-budgeted sub-batches (bit-identical
+/// for any thread count / chunking); Winograd layers read filter
+/// transforms from the cross-call cache, prewarmed per plan so worker
+/// chunks never serialise on a cold cache.
 tensor::Tensor4f forward(const ExecutionPlan& plan, const WeightBank& weights,
                          const tensor::Tensor4f& input);
 
@@ -388,10 +399,13 @@ void prewarm_workspaces(const ExecutionPlan& plan, const WeightBank& weights,
 /// executed a plan). Test/introspection hook.
 [[nodiscard]] std::size_t thread_workspace_bytes();
 
-/// The memcmp oracle for forward(plan): compose the same per-layer
-/// algorithms through the always-NCHW data flow (run_conv + separate ReLU
-/// pass + NCHW maxpool), one layer at a time. Slow; exists for tests and
-/// the bit-identity verdict in bench/ablation_per_layer_m.
+/// The memcmp oracle for forward(plan), and the only NCHW path: compose
+/// the same per-layer algorithms through the always-NCHW data flow
+/// (run_conv + separate ReLU pass + NCHW maxpool), one layer at a time,
+/// single-threaded, re-deriving filter transforms on every call. Runs any
+/// algo, spatial and FFT included. Slow; exists for tests, the examples'
+/// baseline rows and the bit-identity verdict in
+/// bench/ablation_per_layer_m.
 tensor::Tensor4f forward_reference(const ExecutionPlan& plan,
                                    const WeightBank& weights,
                                    const tensor::Tensor4f& input);

@@ -65,15 +65,13 @@ ModelId InferenceServer::add_model(std::string name, nn::ExecutionPlan plan,
   if (plan.layers.empty()) {
     throw std::invalid_argument("add_model: empty layer stack");
   }
-  if (plan.steps.size() != plan.layers.size()) {
-    throw std::invalid_argument(
-        "add_model: plan steps do not match its layer stack");
-  }
   // Size execution state at registration, not first request: filter
   // transforms into the cross-call cache, and one workspace slab per pool
   // participant from MemoryPlan.peak_bytes — per-request memory becomes a
   // planned constant under the model's effective batch cap (the plan's
-  // cache-derived ceiling clamped by the configured max_batch).
+  // cache-derived ceiling clamped by the configured max_batch). It first
+  // rejects a plan the executor cannot run (nn::check_executable), so a
+  // bad plan fails here instead of on its first request.
   const std::size_t warm_batch =
       plan.batch_ceiling > 0 ? std::min(plan.batch_ceiling, config_.max_batch)
                              : config_.max_batch;

@@ -248,6 +248,8 @@ class InferenceServer {
   /// \param algo    convolution algorithm (Winograd variants engage the
   ///                transform cache).
   /// \return handle to pass to submit().
+  /// \throws std::invalid_argument for kSpatial / kFft, or any plan the
+  ///         executor cannot run (nn::check_executable), at registration.
   ModelId add_model(std::string name, std::vector<nn::LayerSpec> layers,
                     nn::WeightBank weights,
                     nn::ConvAlgo algo = nn::ConvAlgo::kWinograd2);
@@ -257,7 +259,8 @@ class InferenceServer {
   /// plan carries its own copy of the layer stack; every batch dispatched
   /// to this session runs the plan-driven forward. The plan's
   /// predicted_total_ms doubles as the request cost for admission control
-  /// and deadline feasibility.
+  /// and deadline feasibility. Throws std::invalid_argument, before any
+  /// request runs, for a plan nn::check_executable rejects.
   ModelId add_model(std::string name, nn::ExecutionPlan plan,
                     nn::WeightBank weights);
 

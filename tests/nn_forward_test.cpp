@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "common/random.hpp"
+#include "nn/plan.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace wino::nn {
@@ -64,19 +65,26 @@ TEST(FullyConnected, SizeMismatchThrows) {
 
 TEST(Forward, AllAlgorithmsAgreeOnScaledVgg) {
   // End-to-end inference on a scaled-down VGG16-D: all conv algorithms
-  // must produce (numerically) the same logits.
+  // must produce (numerically) the same logits. Spatial and FFT have no
+  // slab form, so they run through the NCHW oracle.
   const auto layers = vgg16_d_scaled(/*scale=*/7, /*channel_div=*/16);
   const WeightBank weights = random_weights(layers, 42);
   Tensor4f input(1, 3, 32, 32);
   Rng rng(17);
   rng.fill_uniform(input.flat());
 
-  const Tensor4f ref = forward(layers, weights, input, ConvAlgo::kSpatial);
+  const auto run = [&](ConvAlgo algo) {
+    return executor_runs(algo)
+               ? forward(layers, weights, input, algo)
+               : forward_reference(uniform_plan(layers, algo), weights,
+                                   input);
+  };
+  const Tensor4f ref = run(ConvAlgo::kSpatial);
   ASSERT_GT(tensor::max_abs(ref), 0.0F);
   for (const ConvAlgo algo :
        {ConvAlgo::kIm2col, ConvAlgo::kFft, ConvAlgo::kWinograd2,
         ConvAlgo::kWinograd3, ConvAlgo::kWinograd4}) {
-    const Tensor4f got = forward(layers, weights, input, algo);
+    const Tensor4f got = run(algo);
     ASSERT_EQ(got.shape(), ref.shape()) << to_string(algo);
     const float rel = tensor::max_abs_diff(got, ref) /
                       std::max(1.0F, tensor::max_abs(ref));
@@ -88,8 +96,8 @@ TEST(Forward, ScaledVggShapeInference) {
   const auto layers = vgg16_d_scaled(7, 16);
   const WeightBank weights = random_weights(layers);
   Tensor4f input(1, 3, 32, 32, 0.1F);
-  const Tensor4f out =
-      forward(layers, weights, input, ConvAlgo::kSpatial);
+  const Tensor4f out = forward_reference(
+      uniform_plan(layers, ConvAlgo::kSpatial), weights, input);
   EXPECT_EQ(out.shape().c, 10u);  // classifier head
   EXPECT_EQ(out.shape().h, 1u);
 }
@@ -98,7 +106,10 @@ TEST(Forward, MissingWeightsThrow) {
   const auto layers = vgg16_d_scaled(7, 16);
   const WeightBank empty;
   const Tensor4f input(1, 3, 32, 32);
-  EXPECT_THROW(forward(layers, empty, input, ConvAlgo::kSpatial),
+  EXPECT_THROW(forward_reference(uniform_plan(layers, ConvAlgo::kSpatial),
+                                 empty, input),
+               std::invalid_argument);
+  EXPECT_THROW(forward(layers, empty, input, ConvAlgo::kIm2col),
                std::invalid_argument);
 }
 
@@ -143,53 +154,53 @@ TEST(TransformCache, RepeatedForwardHitsInsteadOfRetransforming) {
   EXPECT_EQ(transform_cache_stats().entries, 0u);
 }
 
-TEST(LayoutPlan, ElidesWinogradChainsAndStopsAtPools) {
+TEST(UniformPlan, TilesEveryWinogradHandoffUpToTheClassifier) {
   const auto layers = vgg16_d_scaled(7, 16);
-  const LayoutPlan plan = plan_layouts(layers, ConvAlgo::kWinograd2);
-  ASSERT_EQ(plan.output_kind.size(), layers.size());
+  const ExecutionPlan plan = uniform_plan(layers, ConvAlgo::kWinograd2);
+  ASSERT_EQ(plan.steps.size(), layers.size());
   EXPECT_EQ(plan.boundaries, layers.size() - 1);
   // VGG16-D groups: 2+2+3+3+3 conv layers -> 1+1+2+2+2 = 8 conv->conv
-  // handoffs stay in tile form; every boundary into a pool/FC is NCHW.
-  EXPECT_EQ(plan.elided, 8u);
-  EXPECT_GT(plan.nchw_floats_elided, 0u);
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    if (plan.output_kind[i] == tensor::LayoutKind::kWinogradTile) {
-      EXPECT_EQ(layers[i].kind, LayerKind::kConv);
-      ASSERT_LT(i + 1, layers.size());
-      EXPECT_EQ(layers[i + 1].kind, LayerKind::kConv);
+  // handoffs stay in tile form, and so does every conv -> pool and
+  // pool -> conv boundary; only pool5 -> FC (and the output) is NCHW.
+  std::size_t conv_to_conv_tiled = 0;
+  for (std::size_t i = 0; i + 1 < layers.size(); ++i) {
+    const bool tiled =
+        plan.steps[i].output_kind == tensor::LayoutKind::kWinogradTile;
+    if (layers[i].kind == LayerKind::kConv &&
+        layers[i + 1].kind == LayerKind::kConv && tiled) {
+      ++conv_to_conv_tiled;
     }
-    if (layers[i].kind == LayerKind::kMaxPool ||
-        layers[i].kind == LayerKind::kFullyConnected) {
-      EXPECT_EQ(plan.output_kind[i], tensor::LayoutKind::kNCHW);
-    }
+    EXPECT_EQ(tiled, layers[i + 1].kind != LayerKind::kFullyConnected)
+        << "boundary " << i;
   }
-  // Non-Winograd algos have no tiled form: nothing elides.
-  const LayoutPlan im2col_plan = plan_layouts(layers, ConvAlgo::kIm2col);
-  EXPECT_EQ(im2col_plan.elided, 0u);
+  EXPECT_EQ(conv_to_conv_tiled, 8u);
+  EXPECT_EQ(plan.nchw_boundaries, 1u);
+  EXPECT_EQ(plan.steps.back().output_kind, tensor::LayoutKind::kNCHW);
+  // Non-Winograd algos have no tiled form: every boundary is NCHW.
+  const ExecutionPlan im2col_plan = uniform_plan(layers, ConvAlgo::kIm2col);
+  EXPECT_EQ(im2col_plan.nchw_boundaries, im2col_plan.boundaries);
 }
 
-TEST(LayoutPolicy, ElidedChainsBitIdenticalToAlwaysNCHW) {
-  // The pinned determinism-contract extension: the layout-planned path
-  // (tile-form handoffs, fused ReLU, packed im2col panels) must reproduce
-  // the always-NCHW path bit-for-bit — per algorithm, per batch size, per
-  // thread count.
+TEST(ForwardPlan, BitIdenticalToReferenceAcrossBatchesAndThreads) {
+  // The determinism contract: the slab executor (tile-form handoffs, fused
+  // ReLU, packed im2col panels) must reproduce the always-NCHW oracle
+  // bit-for-bit — per algorithm, per batch size, per thread count.
   const auto layers = vgg16_d_scaled(/*scale=*/14, /*channel_div=*/16);
   const WeightBank weights = random_weights(layers, 77);
   Rng rng(79);
   for (const ConvAlgo algo :
        {ConvAlgo::kWinograd2, ConvAlgo::kWinograd3, ConvAlgo::kWinograd4,
         ConvAlgo::kIm2col}) {
+    const ExecutionPlan plan = uniform_plan(layers, algo);
     for (const std::size_t batch : {1u, 5u}) {
       Tensor4f input(batch, 3, 16, 16);
       rng.fill_uniform(input.flat(), -1.0F, 1.0F);
-      const Tensor4f nchw =
-          forward(layers, weights, input, algo, LayoutPolicy::kAlwaysNCHW);
+      const Tensor4f nchw = forward_reference(plan, weights, input);
       for (const std::size_t threads : {1u, 4u}) {
         runtime::ThreadPool::set_global_threads(threads);
-        const Tensor4f elided =
-            forward(layers, weights, input, algo, LayoutPolicy::kAuto);
-        ASSERT_EQ(elided.shape(), nchw.shape()) << to_string(algo);
-        ASSERT_EQ(std::memcmp(elided.flat().data(), nchw.flat().data(),
+        const Tensor4f planned = forward(plan, weights, input);
+        ASSERT_EQ(planned.shape(), nchw.shape()) << to_string(algo);
+        ASSERT_EQ(std::memcmp(planned.flat().data(), nchw.flat().data(),
                               nchw.flat().size() * sizeof(float)),
                   0)
             << to_string(algo) << " batch=" << batch
@@ -199,11 +210,6 @@ TEST(LayoutPolicy, ElidedChainsBitIdenticalToAlwaysNCHW) {
   }
   runtime::ThreadPool::set_global_threads(
       std::max(1u, std::thread::hardware_concurrency()));  // restore
-}
-
-TEST(LayoutPolicyNames, AllDistinct) {
-  EXPECT_EQ(to_string(LayoutPolicy::kAuto), "auto-layout");
-  EXPECT_EQ(to_string(LayoutPolicy::kAlwaysNCHW), "always-nchw");
 }
 
 TEST(TransformCache, BumpVersionInvalidatesStaleTransforms) {

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -368,6 +369,80 @@ TEST(ForwardPlan, RejectsMalformedPlan) {
   plan.steps.pop_back();
   const Tensor4f input(1, 3, 8, 8);
   EXPECT_THROW(forward(plan, weights, input), std::invalid_argument);
+}
+
+// Spatial and FFT have no slab form, and im2col / FC read and write NCHW
+// only: the executor rejects such plans up front, naming the layer, instead
+// of running them through an allocating NCHW bridge.
+TEST(ForwardPlan, RejectsStepsWithoutSlabForm) {
+  const auto layers = vgg16_d_scaled(28, 16);
+  const WeightBank weights = random_weights(layers, 1);
+  const Tensor4f input(1, 3, 8, 8);
+  for (const ConvAlgo algo : {ConvAlgo::kFft, ConvAlgo::kSpatial}) {
+    const ExecutionPlan plan = uniform_plan(layers, algo);
+    EXPECT_THROW(check_executable(plan), std::invalid_argument);
+    EXPECT_THROW(forward(plan, weights, input), std::invalid_argument)
+        << to_string(algo);
+    // The oracle still runs them.
+    EXPECT_EQ(forward_reference(plan, weights, input).shape().c, 10u);
+  }
+  EXPECT_THROW(forward(layers, weights, input, ConvAlgo::kFft),
+               std::invalid_argument);
+
+  // An im2col conv hand-edited to emit tile form.
+  ExecutionPlan tiled_im2col = uniform_plan(layers, ConvAlgo::kIm2col);
+  tiled_im2col.steps[0].output_kind = LayoutKind::kWinogradTile;
+  tiled_im2col.steps[0].out_tile_m = 2;
+  tiled_im2col.memory = build_memory_plan(tiled_im2col);
+  try {
+    (void)forward(tiled_im2col, weights, input);
+    ADD_FAILURE() << "tile-form im2col output was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("layer 0"), std::string::npos)
+        << e.what();
+  }
+
+  // A tile-form handoff into the fully-connected head.
+  ExecutionPlan tiled_fc = uniform_plan(layers, ConvAlgo::kWinograd2);
+  const std::size_t fc = layers.size() - 1;
+  ASSERT_EQ(layers[fc].kind, LayerKind::kFullyConnected);
+  tiled_fc.steps[fc - 1].output_kind = LayoutKind::kWinogradTile;
+  tiled_fc.steps[fc - 1].out_tile_m = 2;
+  EXPECT_THROW(forward(tiled_fc, weights, input), std::invalid_argument);
+
+  // A tile-form network output.
+  ExecutionPlan tiled_out = uniform_plan(layers, ConvAlgo::kWinograd2);
+  tiled_out.steps.back().output_kind = LayoutKind::kWinogradTile;
+  tiled_out.steps.back().out_tile_m = 2;
+  EXPECT_THROW(check_executable(tiled_out), std::invalid_argument);
+}
+
+TEST(Planner, RejectsCandidatesWithoutSlabForm) {
+  const auto layers = vgg16_d_scaled(28, 16);
+  for (const ConvAlgo algo : {ConvAlgo::kFft, ConvAlgo::kSpatial}) {
+    PlannerOptions opts;
+    opts.calibration = default_calibration();
+    opts.candidates.push_back(algo);
+    EXPECT_THROW((void)plan_execution(layers, opts), std::invalid_argument)
+        << to_string(algo);
+  }
+  // The default candidate set is all executable.
+  for (const ConvAlgo algo : PlannerOptions{}.candidates) {
+    EXPECT_TRUE(executor_runs(algo)) << to_string(algo);
+  }
+}
+
+TEST(Serve, RejectsUnexecutablePlanAtRegistration) {
+  const auto layers = vgg16_d_scaled(28, 16);
+  serve::InferenceServer server(serve::ServerConfig{});
+  EXPECT_THROW(server.add_model("fft", layers, random_weights(layers, 1),
+                                ConvAlgo::kFft),
+               std::invalid_argument);
+  EXPECT_THROW(server.add_model("spatial", uniform_plan(layers,
+                                                        ConvAlgo::kSpatial),
+                                random_weights(layers, 1)),
+               std::invalid_argument);
+  server.shutdown();
 }
 
 TEST(Serve, PlannedSessionServesBitIdenticalResults) {
