@@ -13,6 +13,12 @@
 //                   (sgemm_kernel_name(): avx2/neon; equals "blocked" when
 //                   only the scalar fallback is compiled in)
 //
+//   igemm section (informational, no gate): runtime::igemm_nt GOP/s with
+//   the compiled-in blocked micro-kernel (kAuto, igemm_kernel_name()) and
+//   the widening scalar oracle (kScalar), single thread, at the int8
+//   im2col GEMM shapes of the quick scaled VGG-16 (m = output channels,
+//   n = output pixels, k = C * 3 * 3).
+//
 // Usage: gemm_kernels [--quick] [--out <path>]
 //   --quick shrinks the VGG shapes for CI smoke (the square-512 reference
 //           point is kept full-size so the perf-regression gate always
@@ -21,6 +27,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -30,6 +37,7 @@
 #include "common/random.hpp"
 #include "common/table.hpp"
 #include "runtime/gemm.hpp"
+#include "runtime/igemm.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace {
@@ -79,6 +87,53 @@ struct ShapeResult {
   double blocked_gflops = 0;
   double simd_gflops = 0;
 };
+
+struct IGemmResult {
+  Shape shape;
+  double auto_gops = 0;
+  double scalar_gops = 0;
+};
+
+/// Single-thread GOP/s of igemm_nt at each shape for kAuto and kScalar;
+/// empty on a mismatch against igemm_nt_ref (the two must agree exactly).
+std::vector<IGemmResult> measure_igemm(const std::vector<Shape>& shapes,
+                                       bool quick,
+                                       wino::common::Rng& rng) {
+  using wino::runtime::IGemmKernel;
+  std::vector<IGemmResult> results;
+  for (const Shape& s : shapes) {
+    std::vector<std::int8_t> a(s.m * s.k);
+    std::vector<std::int8_t> b(s.n * s.k);
+    for (auto& v : a) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+    for (auto& v : b) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
+    std::vector<std::int32_t> c(s.m * s.n);
+    std::vector<std::int32_t> ref(s.m * s.n);
+    wino::runtime::igemm_nt_ref(s.m, s.n, s.k, a.data(), s.k, b.data(), s.k,
+                                ref.data(), s.n);
+    const double ops = 2.0 * static_cast<double>(s.m) *
+                       static_cast<double>(s.n) * static_cast<double>(s.k);
+    // Each shape is well under a millisecond: time batches of calls.
+    const int calls = quick ? 20 : 100;
+    const auto gops = [&](IGemmKernel kernel) {
+      const double sec = best_seconds(quick ? 3 : 5, [&] {
+        for (int i = 0; i < calls; ++i) {
+          wino::runtime::igemm_nt(s.m, s.n, s.k, a.data(), s.k, b.data(),
+                                  s.k, c.data(), s.n, kernel);
+        }
+      });
+      return ops * calls / sec / 1e9;
+    };
+    IGemmResult r{s, gops(IGemmKernel::kAuto), 0};
+    const bool auto_ok = c == ref;
+    r.scalar_gops = gops(IGemmKernel::kScalar);
+    if (!auto_ok || c != ref) {
+      std::printf("CORRECTNESS FAILURE on igemm %s\n", s.name.c_str());
+      return {};
+    }
+    results.push_back(r);
+  }
+  return results;
+}
 
 struct ThreadResult {
   std::size_t threads;
@@ -234,6 +289,29 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // --- Int8 GEMM at the quick VGG's int8 im2col shapes ---------------------
+  wino::runtime::ThreadPool::set_global_threads(1);
+  const std::vector<IGemmResult> igemm = measure_igemm(
+      {{"vgg-quick-conv1", 8, 1024, 72},
+       {"vgg-quick-conv2", 16, 256, 144},
+       {"vgg-quick-conv3", 32, 64, 288},
+       {"vgg-quick-conv4", 64, 16, 576}},
+      quick, rng);
+  if (igemm.empty()) return 1;
+  std::printf("\nigemm_nt (compiled kernel: %s), single thread\n",
+              wino::runtime::igemm_kernel_name());
+  wino::common::TextTable itable;
+  itable.header({"shape", "M", "N", "K", "auto GOP/s", "scalar GOP/s",
+                 "auto/scalar"});
+  for (const IGemmResult& r : igemm) {
+    itable.row({r.shape.name, std::to_string(r.shape.m),
+                std::to_string(r.shape.n), std::to_string(r.shape.k),
+                wino::common::TextTable::num(r.auto_gops),
+                wino::common::TextTable::num(r.scalar_gops),
+                wino::common::TextTable::num(r.auto_gops / r.scalar_gops)});
+  }
+  itable.print();
+
   // --- BENCH_gemm.json -----------------------------------------------------
   const std::string json_path =
       wino::common::bench_output_path(argc, argv, "BENCH_gemm.json");
@@ -276,6 +354,19 @@ int main(int argc, char** argv) {
                  "%.4f}%s\n",
                  t.threads, t.gflops, t.speedup,
                  i + 1 < thread_results.size() ? "," : "");
+  }
+  std::fprintf(json, "  ]},\n  \"igemm\": {\"kernel\": \"%s\", "
+                     "\"shapes\": [\n",
+               wino::runtime::igemm_kernel_name());
+  for (std::size_t i = 0; i < igemm.size(); ++i) {
+    const IGemmResult& r = igemm[i];
+    std::fprintf(json,
+                 "    {\"name\": \"%s\", \"m\": %zu, \"n\": %zu, "
+                 "\"k\": %zu, \"auto_gops\": %.4f, \"scalar_gops\": "
+                 "%.4f}%s\n",
+                 r.shape.name.c_str(), r.shape.m, r.shape.n, r.shape.k,
+                 r.auto_gops, r.scalar_gops,
+                 i + 1 < igemm.size() ? "," : "");
   }
   std::fprintf(json, "  ]},\n  \"deterministic\": %s\n}\n",
                deterministic ? "true" : "false");

@@ -518,8 +518,8 @@ void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
           const tensor::Tensor4fView view(cur_layout.shape, cur);
           if (step.algo == ConvAlgo::kInt8Im2col) {
             const quant::QuantIm2colScratch scratch =
-                carve_quant_im2col_scratch(carver, entry->filter->inner(),
-                                           ol.shape.h * ol.shape.w,
+                carve_quant_im2col_scratch(carver, cur_layout.shape,
+                                           entry->filter->r, l.conv.pad,
                                            entry->filter->kernels);
             quant::conv2d_im2col_int8_into(view, *entry->filter, l.conv.pad,
                                            step.act_scale, /*fuse_relu=*/true,

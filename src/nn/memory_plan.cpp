@@ -68,13 +68,15 @@ winograd::WinogradScratch carve_winograd_scratch(ByteCarver& carver,
   return s;
 }
 
-quant::QuantIm2colScratch carve_quant_im2col_scratch(ByteCarver& carver,
-                                                     std::size_t inner,
-                                                     std::size_t cols,
-                                                     std::size_t kcount) {
+quant::QuantIm2colScratch carve_quant_im2col_scratch(
+    ByteCarver& carver, tensor::Shape4 image, std::size_t r, int pad,
+    std::size_t kcount) {
+  const std::size_t hp = image.h + 2 * static_cast<std::size_t>(pad);
+  const std::size_t wp = image.w + 2 * static_cast<std::size_t>(pad);
+  const std::size_t cols = (hp - r + 1) * (wp - r + 1);
   quant::QuantIm2colScratch s;
-  s.panel = carver.take<float>(inner * cols);
-  s.qpanel = carver.take<std::int8_t>(cols * inner);
+  s.image = carver.take<std::int8_t>(image.c * hp * wp);
+  s.qpanel = carver.take<std::int8_t>(cols * image.c * r * r);
   s.acc = carver.take<std::int32_t>(kcount * cols);
   return s;
 }
@@ -212,10 +214,7 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input,
           scratch_bytes = measure.used();
         } else if (step.algo == ConvAlgo::kInt8Im2col) {
           ByteCarver measure;
-          (void)carve_quant_im2col_scratch(
-              measure, cur.c * r * r,
-              static_cast<std::size_t>(oh) * static_cast<std::size_t>(ow),
-              l.conv.k);
+          (void)carve_quant_im2col_scratch(measure, cur, r, pad, l.conv.k);
           scratch_bytes = measure.used();
         } else if (const int qm = int8_winograd_m(step.algo); qm > 0) {
           ByteCarver measure;

@@ -171,14 +171,14 @@ struct MemoryPlan {
     ByteCarver& carver, std::size_t channels, std::size_t n_tile,
     std::size_t m, std::size_t block_columns = 1);
 
-/// Carve (or measure) the scratch of one int8 im2col conv layer: the fp32
-/// patch panel, its quantized K-contiguous transpose and the int32 GEMM
-/// accumulator of quant::conv2d_im2col_int8_into.
-/// \param inner  reduction depth C*r*r.
-/// \param cols   output pixels outH*outW.
+/// Carve (or measure) the scratch of one int8 im2col conv layer: the
+/// zero-padded int8 image, the K-contiguous int8 patch panel and the int32
+/// GEMM accumulator of quant::conv2d_im2col_int8_into.
+/// \param image  one input image's extents (n is ignored).
+/// \param r,pad  kernel edge and symmetric padding (stride 1).
 /// \param kcount output channels K.
 [[nodiscard]] quant::QuantIm2colScratch carve_quant_im2col_scratch(
-    ByteCarver& carver, std::size_t inner, std::size_t cols,
+    ByteCarver& carver, tensor::Shape4 image, std::size_t r, int pad,
     std::size_t kcount);
 
 /// Carve (or measure) the scratch of one int8 Winograd conv layer: the

@@ -1,22 +1,29 @@
 #include "quant/int8.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
-#include "conv/im2col.hpp"
 #include "runtime/igemm.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace wino::quant {
 namespace {
 
-// Largest |v| over a span; the numerator of every symmetric scale.
+// Folds |v| into a running finite maximum: NaN and +/-Inf are skipped, so
+// one non-finite value cannot turn a scale into Inf (whose inverse, 0,
+// would zero the tensor and dequantize every output as 0 * Inf = NaN).
+// The skipped values still quantize, to 0 and +/-127.
+inline float finite_max_abs(float worst, float v) {
+  const float m = std::abs(v);
+  return m > worst && m <= std::numeric_limits<float>::max() ? m : worst;
+}
+
+// Largest finite |v| over a span; the numerator of every symmetric scale.
 float span_max_abs(std::span<const float> values) {
   float worst = 0.0F;
-  for (const float v : values) {
-    const float m = v < 0.0F ? -v : v;
-    if (m > worst) worst = m;
-  }
+  for (const float v : values) worst = finite_max_abs(worst, v);
   return worst;
 }
 
@@ -36,10 +43,68 @@ float image_act_scale(float act_scale, std::span<const float> image) {
   return span_max_abs(image) / 127.0F;
 }
 
+// Extents of the padded int8 image and its patch panel.
+struct PatchGeometry {
+  std::size_t channels;  ///< C
+  std::size_t plane;     ///< padded H * padded W
+  std::size_t wp;        ///< padded W
+  std::size_t r;         ///< kernel edge
+  std::size_t ow;        ///< output width
+};
+
+// Writes the K-contiguous patches of output rows [y_begin, y_end) to
+// `out`: pixel (oy, ox) takes channel-major r x r windows, the order of
+// quantize_filters' rows. R fixes the kernel edge at compile time (0 reads
+// g.r) so the common 3 x 3 window copies fully unrolled.
+template <std::size_t R>
+void gather_patches(const PatchGeometry& g, const std::int8_t* image,
+                    std::size_t y_begin, std::size_t y_end,
+                    std::int8_t* out) {
+  const std::size_t r = R > 0 ? R : g.r;
+  for (std::size_t oy = y_begin; oy < y_end; ++oy) {
+    for (std::size_t ox = 0; ox < g.ow; ++ox) {
+      const std::int8_t* win = image + oy * g.wp + ox;
+      for (std::size_t c = 0; c < g.channels; ++c, win += g.plane) {
+        for (std::size_t u = 0; u < r; ++u) {
+          for (std::size_t v = 0; v < r; ++v) *out++ = win[u * g.wp + v];
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 float symmetric_scale(std::span<const float> values) {
   return span_max_abs(values) / 127.0F;
+}
+
+void quantize_span(std::span<const float> in, float inv_scale,
+                   std::span<std::int8_t> out) {
+  if (in.size() != out.size()) {
+    throw std::invalid_argument("quantize_span: size mismatch");
+  }
+  std::size_t i = 0;
+#if defined(WINO_QUANT_SSE2)
+  // The vector twin of quantize_symmetric: zero NaN lanes, clamp, round
+  // under the same MXCSR mode (cvtps2dq), then narrow with saturating packs
+  // that cannot saturate (every lane is already in [-127, 127]).
+  const __m128 vinv = _mm_set1_ps(inv_scale);
+  const __m128 lo = _mm_set1_ps(-127.0F);
+  const __m128 hi = _mm_set1_ps(127.0F);
+  const auto lanes = [&](std::size_t at) {
+    __m128 x = _mm_mul_ps(_mm_loadu_ps(in.data() + at), vinv);
+    x = _mm_and_ps(x, _mm_cmpord_ps(x, x));
+    return _mm_cvtps_epi32(_mm_min_ps(_mm_max_ps(x, lo), hi));
+  };
+  for (; i + 16 <= in.size(); i += 16) {
+    const __m128i w0 = _mm_packs_epi32(lanes(i), lanes(i + 4));
+    const __m128i w1 = _mm_packs_epi32(lanes(i + 8), lanes(i + 12));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out.data() + i),
+                     _mm_packs_epi16(w0, w1));
+  }
+#endif
+  for (; i < in.size(); ++i) out[i] = quantize_symmetric(in[i], inv_scale);
 }
 
 QuantizedFilter quantize_filters(const tensor::Tensor4f& kernels) {
@@ -60,9 +125,7 @@ QuantizedFilter quantize_filters(const tensor::Tensor4f& kernels) {
     const float scale = symmetric_scale(row);
     qf.scale[k] = scale;
     const float inv = scale > 0.0F ? 1.0F / scale : 0.0F;
-    for (std::size_t i = 0; i < inner; ++i) {
-      qf.data[k * inner + i] = quantize_symmetric(row[i], inv);
-    }
+    quantize_span(row, inv, std::span(qf.data).subspan(k * inner, inner));
   }
   return qf;
 }
@@ -104,7 +167,7 @@ QuantizedWinogradKernels quantize_winograd_kernels(
     for (std::size_t i = 0; i < nsq; ++i) {
       float pos_max = 0.0F;
       for (std::size_t c = 0; c < qk.channels; ++c) {
-        pos_max = std::max(pos_max, std::abs(kbase[c * nsq + i]));
+        pos_max = finite_max_abs(pos_max, kbase[c * nsq + i]);
       }
       const float scale = pos_max / 127.0F;
       qk.scale[k * nsq + i] = scale;
@@ -136,31 +199,54 @@ void conv2d_im2col_int8_into(const tensor::Tensor4fView& input,
   if (is.c != qf.channels) {
     throw std::invalid_argument("conv2d_im2col_int8: channel mismatch");
   }
+  if (pad < 0) {
+    throw std::invalid_argument("conv2d_im2col_int8: negative padding");
+  }
   const std::size_t r = qf.r;
-  const std::size_t oh = is.h + 2 * static_cast<std::size_t>(pad) - r + 1;
-  const std::size_t ow = is.w + 2 * static_cast<std::size_t>(pad) - r + 1;
+  const std::size_t p = static_cast<std::size_t>(pad);
+  const std::size_t hp = is.h + 2 * p;
+  const std::size_t wp = is.w + 2 * p;
+  if (hp < r || wp < r) {
+    throw std::invalid_argument("conv2d_im2col_int8: kernel exceeds input");
+  }
+  const std::size_t oh = hp - r + 1;
+  const std::size_t ow = wp - r + 1;
   const std::size_t cols = oh * ow;
   const std::size_t inner = qf.inner();
-  check_span(scratch.panel.size(), inner * cols, "panel");
+  const std::size_t plane = hp * wp;
+  check_span(scratch.image.size(), is.c * plane, "image");
   check_span(scratch.qpanel.size(), cols * inner, "qpanel");
   check_span(scratch.acc.size(), qf.kernels * cols, "acc");
   check_span(out.size(), is.n * qf.kernels * cols, "out");
 
+  // The padding border is written once per call and never overwritten:
+  // every image quantizes only the interior.
+  std::fill(scratch.image.begin(), scratch.image.end(), std::int8_t{0});
   const std::size_t image_volume = is.c * is.h * is.w;
   for (std::size_t img = 0; img < is.n; ++img) {
-    conv::im2col(input, img, r, pad, pad, 1, scratch.panel);
-    const float a_scale =
-        image_act_scale(act_scale, input.flat().subspan(img * image_volume,
-                                                        image_volume));
+    const auto src = input.flat().subspan(img * image_volume, image_volume);
+    const float a_scale = image_act_scale(act_scale, src);
     const float inv = a_scale > 0.0F ? 1.0F / a_scale : 0.0F;
-    // Transpose while quantizing: the panel is (inner x cols) but the
-    // GEMM wants K-contiguous rows per output pixel.
-    for (std::size_t j = 0; j < cols; ++j) {
-      std::int8_t* qrow = scratch.qpanel.data() + j * inner;
-      for (std::size_t kk = 0; kk < inner; ++kk) {
-        qrow[kk] = quantize_symmetric(scratch.panel[kk * cols + j], inv);
+    // Quantize each input value once, into the zero-padded int8 image
+    // (quantize_symmetric(0) == 0, so the border is the quantized padding).
+    for (std::size_t c = 0; c < is.c; ++c) {
+      for (std::size_t y = 0; y < is.h; ++y) {
+        quantize_span(src.subspan((c * is.h + y) * is.w, is.w), inv,
+                      scratch.image.subspan(c * plane + (y + p) * wp + p,
+                                            is.w));
       }
     }
+    // Gather K-contiguous int8 patches; output rows write disjoint panel
+    // rows.
+    runtime::parallel_for(oh, [&](std::size_t y_begin, std::size_t y_end) {
+      const PatchGeometry g{is.c, plane, wp, r, ow};
+      std::int8_t* rows = scratch.qpanel.data() + y_begin * ow * inner;
+      if (r == 3) {
+        gather_patches<3>(g, scratch.image.data(), y_begin, y_end, rows);
+      } else {
+        gather_patches<0>(g, scratch.image.data(), y_begin, y_end, rows);
+      }
+    });
     runtime::igemm_nt(qf.kernels, cols, inner, qf.data.data(), inner,
                       scratch.qpanel.data(), inner, scratch.acc.data(), cols);
     float* obase = out.data() + img * qf.kernels * cols;
@@ -278,8 +364,7 @@ void conv2d_winograd_int8_into(const tensor::Tensor4fView& input,
           for (std::size_t i = 0; i < nsq; ++i) {
             float pos_max = 0.0F;
             for (std::size_t c = 0; c < is.c; ++c) {
-              pos_max =
-                  std::max(pos_max, std::abs(scratch.u_all[c * nsq + i]));
+              pos_max = finite_max_abs(pos_max, scratch.u_all[c * nsq + i]);
             }
             scratch.sv[i] = pos_max / 127.0F;
             const float inv = pos_max > 0.0F ? 127.0F / pos_max : 0.0F;
@@ -346,7 +431,7 @@ void conv2d_winograd_int8_into(const tensor::Tensor4fView& input,
         for (std::size_t t = 0; t < bcols; ++t) {
           float pos_max = 0.0F;
           for (std::size_t c = 0; c < C; ++c) {
-            pos_max = std::max(pos_max, std::abs(ue[c * B + t]));
+            pos_max = finite_max_abs(pos_max, ue[c * B + t]);
           }
           sve[t] = pos_max / 127.0F;
           const float inv = pos_max > 0.0F ? 127.0F / pos_max : 0.0F;
@@ -405,18 +490,17 @@ tensor::Tensor4f run_im2col_int8(const tensor::Tensor4f& input,
                                  const QuantizedFilter& qf, int pad,
                                  float act_scale) {
   const auto& is = input.shape();
-  const std::size_t oh = is.h + 2 * static_cast<std::size_t>(pad) - qf.r + 1;
-  const std::size_t ow = is.w + 2 * static_cast<std::size_t>(pad) - qf.r + 1;
-  const std::size_t cols = oh * ow;
-  const std::size_t inner = qf.inner();
-  std::vector<float> panel(inner * cols);
-  std::vector<std::int8_t> qpanel(cols * inner);
+  const std::size_t hp = is.h + 2 * static_cast<std::size_t>(pad);
+  const std::size_t wp = is.w + 2 * static_cast<std::size_t>(pad);
+  const std::size_t cols = (hp - qf.r + 1) * (wp - qf.r + 1);
+  std::vector<std::int8_t> image(is.c * hp * wp);
+  std::vector<std::int8_t> qpanel(cols * qf.inner());
   std::vector<std::int32_t> acc(qf.kernels * cols);
-  tensor::Tensor4f out(is.n, qf.kernels, oh, ow);
+  tensor::Tensor4f out(is.n, qf.kernels, hp - qf.r + 1, wp - qf.r + 1);
   conv2d_im2col_int8_into(
       tensor::Tensor4fView(is, input.flat()), qf, pad, act_scale,
       /*fuse_relu=*/false, out.flat(),
-      QuantIm2colScratch{panel, qpanel, acc});
+      QuantIm2colScratch{image, qpanel, acc});
   return out;
 }
 

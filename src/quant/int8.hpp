@@ -7,8 +7,9 @@
 // reduces in exact int32 arithmetic before one dequantizing multiply per
 // output element. Two forms exist:
 //
-//  * im2col form — lower the patch matrix in fp32, quantize it K-contiguous
-//    and run the int8 GEMM (runtime/igemm.hpp).
+//  * im2col form — quantize each image once into a zero-padded int8
+//    image, gather int8 patches from it into a K-contiguous panel, and run
+//    the register-blocked int8 GEMM (runtime/igemm.hpp).
 //  * Winograd form — pre-transform the filter bank (V = G g G^T) and
 //    quantize it in the TRANSFORM domain; per tile, transform the data in
 //    fp32 (U = B^T d B), quantize U, reduce over channels in int32,
@@ -35,24 +36,46 @@
 #include "tensor/tensor.hpp"
 #include "winograd/kernels.hpp"
 
+#if defined(__SSE2__) || defined(__x86_64__) || defined(_M_X64)
+#include <emmintrin.h>
+#define WINO_QUANT_SSE2 1
+#endif
+
 namespace wino::quant {
 
 /// Round-to-nearest-even symmetric int8 quantization of one value.
 /// `inv_scale` is 1 / scale (pass 0 to map everything to 0, the convention
-/// for all-zero operands). Inputs are assumed finite — the quantized paths
-/// quantize activations the fp32 path produced, which the runtime keeps
-/// finite. Saturates to [-127, 127] (the symmetric grid; -128 is unused so
-/// negation stays closed).
+/// for all-zero operands). Saturates to [-127, 127] (the symmetric grid;
+/// -128 is unused so negation stays closed): +Inf maps to 127, -Inf to
+/// -127, and NaN (including 0 * Inf) to 0.
+///
+/// Clamps first, then rounds in registers (cvtss2si under the default
+/// round-to-nearest-even mode) — no libm call. Equal to
+/// clamp(nearbyint(v * inv_scale), -127, 127) for every non-NaN product,
+/// because +/-127 are integers and rounding is monotone.
 inline std::int8_t quantize_symmetric(float v, float inv_scale) {
-  const float scaled = std::nearbyint(v * inv_scale);
-  const float clamped = scaled < -127.0F ? -127.0F
-                        : scaled > 127.0F ? 127.0F
-                                          : scaled;
-  return static_cast<std::int8_t>(clamped);
+  const float x = v * inv_scale;
+  // NaN fails both comparisons of the first test and lands on 0.
+  const float clamped = x >= -127.0F ? (x > 127.0F ? 127.0F : x)
+                        : x < -127.0F ? -127.0F
+                                      : 0.0F;
+#if defined(WINO_QUANT_SSE2)
+  return static_cast<std::int8_t>(_mm_cvtss_si32(_mm_set_ss(clamped)));
+#else
+  return static_cast<std::int8_t>(std::nearbyint(clamped));
+#endif
 }
 
-/// Symmetric scale for a tensor slice: max|v| / 127, or 0 for an all-zero
-/// slice (its quantized form is all zeros and dequantizes exactly).
+/// quantize_symmetric over a contiguous span: out[i] =
+/// quantize_symmetric(in[i], inv_scale), bit for bit (SSE2 cvtps2dq +
+/// saturating packs where available). Sizes must match.
+void quantize_span(std::span<const float> in, float inv_scale,
+                   std::span<std::int8_t> out);
+
+/// Symmetric scale for a tensor slice: the largest finite |v| / 127, or 0
+/// for an all-zero slice (its quantized form is all zeros and dequantizes
+/// exactly). NaN and +/-Inf are skipped, so one of them cannot inflate the
+/// scale to Inf and zero every other value.
 [[nodiscard]] float symmetric_scale(std::span<const float> values);
 
 /// Spatial-domain quantized filter bank for the im2col form: kernel k's
@@ -109,8 +132,8 @@ struct QuantizedWinogradKernels {
 /// workspace slab by nn::carve_quant_im2col_scratch. Extents are validated
 /// at entry (the single point keeping carver and consumer in sync).
 struct QuantIm2colScratch {
-  std::span<float> panel;         ///< inner x cols fp32 patch matrix
-  std::span<std::int8_t> qpanel;  ///< cols x inner quantized transpose
+  std::span<std::int8_t> image;   ///< C x (H+2p) x (W+2p) padded int8 image
+  std::span<std::int8_t> qpanel;  ///< cols x inner K-contiguous int8 patches
   std::span<std::int32_t> acc;    ///< kernels x cols int32 GEMM output
 };
 
@@ -143,17 +166,22 @@ struct QuantWinogradScratch {
 
 /// \brief Allocation-free int8 im2col convolution over an NCHW batch view.
 ///
-/// Per image: fp32 im2col lowering, transpose-quantize at the activation
-/// scale, exact int8 GEMM against `qf`, per-output-channel dequantize into
-/// `out` (NCHW), optionally fusing ReLU into the dequantizing store.
+/// Per image: quantize every input value once at the activation scale into
+/// the zero-padded int8 image, gather int8 patches from it straight into the
+/// K-contiguous panel, run the exact int8 GEMM against `qf`, and dequantize
+/// per output channel into `out` (NCHW), optionally fusing ReLU into the
+/// dequantizing store. Byte-identical to lowering in fp32 and quantizing
+/// every patch copy: im2col only copies values, and quantize_symmetric(0)
+/// is the padding's 0.
 ///
 /// \param input     NCHW batch view (any n).
 /// \param qf        quantized filter bank matching the input's channels.
-/// \param pad       symmetric zero padding (stride is 1).
+/// \param pad       symmetric zero padding >= 0 (stride is 1).
 /// \param act_scale static per-tensor activation scale (max|x| / 127 from
 ///                  calibration); <= 0 derives the scale per image from
-///                  that image's max|x| — still batch- and thread-
-///                  deterministic, since it depends on one image only.
+///                  that image's largest finite |x| — still batch- and
+///                  thread-deterministic, since it depends on one image
+///                  only. Non-finite inputs quantize per quantize_symmetric.
 /// \param fuse_relu fold max(x, 0) into the dequantizing store.
 /// \param out       NCHW output span, n * K * outH * outW floats.
 /// \param scratch   spans sized per QuantIm2colScratch (validated).
@@ -168,9 +196,9 @@ void conv2d_im2col_int8_into(const tensor::Tensor4fView& input,
 /// quantized path does not participate in tile-form handoffs).
 ///
 /// Per output tile: fp32 data transform for every channel, then one scale
-/// per tile position from the observed max across channels (the channel
-/// reduction sums across c at a fixed position, so only c must share a
-/// scale), int8 quantize, int32 channel reduction against `qk`,
+/// per tile position from the largest finite |U| across channels (the
+/// channel reduction sums across c at a fixed position, so only c must
+/// share a scale), int8 quantize, int32 channel reduction against `qk`,
 /// per-position dequantize (sv[i] * qk.scale[k][i]), fp32 inverse
 /// transform, bounds-checked scatter (optionally fusing ReLU). The
 /// per-position scales track the transform's position-dependent dynamic

@@ -1,5 +1,6 @@
 #include "runtime/igemm.hpp"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "runtime/thread_pool.hpp"
@@ -27,78 +28,141 @@ inline std::int32_t dot_scalar(const std::int8_t* a, const std::int8_t* b,
   return acc;
 }
 
+// The three primitives the blocked micro-kernel is written over, one set
+// per compile-time instruction set: `widen` sign-extends kStep int8 lanes
+// to int16, `madd` adds the pairwise int32 sums of two widened chunks into
+// an accumulator (pmaddwd: exact, 2 * 127 * 127 << 2^31), and `hsum`
+// reduces an accumulator to one int32.
 #if defined(WINO_IGEMM_AVX2)
 
-inline std::int32_t dot_simd(const std::int8_t* a, const std::int8_t* b,
-                             std::size_t k) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 16 <= k; i += 16) {
-    // Sign-extend 16 int8 lanes to int16, then pmaddwd: each pair of
-    // adjacent int16 products sums into one int32 lane — exact, since
-    // 2 * 127 * 127 is far below 2^31.
-    const __m256i va = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
-    const __m256i vb = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(va, vb));
-  }
-  const __m128i lo = _mm256_castsi256_si128(acc);
-  const __m128i hi = _mm256_extracti128_si256(acc, 1);
-  __m128i sum = _mm_add_epi32(lo, hi);
+using Wide = __m256i;
+using Acc = __m256i;
+constexpr std::size_t kStep = 16;
+
+inline Wide widen(const std::int8_t* p) {
+  return _mm256_cvtepi8_epi16(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+inline Acc zero_acc() { return _mm256_setzero_si256(); }
+inline Acc madd(Acc acc, Wide a, Wide b) {
+  return _mm256_add_epi32(acc, _mm256_madd_epi16(a, b));
+}
+inline std::int32_t hsum(Acc acc) {
+  __m128i sum = _mm_add_epi32(_mm256_castsi256_si128(acc),
+                              _mm256_extracti128_si256(acc, 1));
   sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(1, 0, 3, 2)));
   sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(2, 3, 0, 1)));
-  std::int32_t total = _mm_cvtsi128_si32(sum);
-  for (; i < k; ++i) {
-    total += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(b[i]);
-  }
-  return total;
+  return _mm_cvtsi128_si32(sum);
 }
 
 const char* const kKernelName = "avx2";
 
 #elif defined(WINO_IGEMM_SSE2)
 
-// SSE2 has no byte sign-extension instruction; interleave the vector with
-// itself and arithmetic-shift each 16-bit lane right by 8 — the classic
-// pre-SSE4.1 sign-extend.
-inline std::int32_t dot_simd(const std::int8_t* a, const std::int8_t* b,
-                             std::size_t k) {
-  __m128i acc = _mm_setzero_si128();
-  std::size_t i = 0;
-  for (; i + 16 <= k; i += 16) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-    const __m128i va_lo = _mm_srai_epi16(_mm_unpacklo_epi8(va, va), 8);
-    const __m128i va_hi = _mm_srai_epi16(_mm_unpackhi_epi8(va, va), 8);
-    const __m128i vb_lo = _mm_srai_epi16(_mm_unpacklo_epi8(vb, vb), 8);
-    const __m128i vb_hi = _mm_srai_epi16(_mm_unpackhi_epi8(vb, vb), 8);
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(va_lo, vb_lo));
-    acc = _mm_add_epi32(acc, _mm_madd_epi16(va_hi, vb_hi));
-  }
+// SSE2 has no byte sign-extension instruction: interleave 8 bytes with
+// themselves and arithmetic-shift each 16-bit lane right by 8. Eight-byte
+// steps keep the 4 x 2 block's six widened operands and eight
+// accumulators inside the sixteen xmm registers.
+using Wide = __m128i;
+using Acc = __m128i;
+constexpr std::size_t kStep = 8;
+
+inline Wide widen(const std::int8_t* p) {
+  const __m128i v = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
+  return _mm_srai_epi16(_mm_unpacklo_epi8(v, v), 8);
+}
+inline Acc zero_acc() { return _mm_setzero_si128(); }
+inline Acc madd(Acc acc, Wide a, Wide b) {
+  return _mm_add_epi32(acc, _mm_madd_epi16(a, b));
+}
+inline std::int32_t hsum(Acc acc) {
   acc = _mm_add_epi32(acc, _mm_shuffle_epi32(acc, _MM_SHUFFLE(1, 0, 3, 2)));
   acc = _mm_add_epi32(acc, _mm_shuffle_epi32(acc, _MM_SHUFFLE(2, 3, 0, 1)));
-  std::int32_t total = _mm_cvtsi128_si32(acc);
-  for (; i < k; ++i) {
-    total += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(b[i]);
-  }
-  return total;
+  return _mm_cvtsi128_si32(acc);
 }
 
 const char* const kKernelName = "sse2";
 
 #else
 
-inline std::int32_t dot_simd(const std::int8_t* a, const std::int8_t* b,
-                             std::size_t k) {
-  return dot_scalar(a, b, k);
-}
+using Wide = std::int32_t;
+using Acc = std::int32_t;
+constexpr std::size_t kStep = 1;
+
+inline Wide widen(const std::int8_t* p) { return *p; }
+inline Acc zero_acc() { return 0; }
+inline Acc madd(Acc acc, Wide a, Wide b) { return acc + a * b; }
+inline std::int32_t hsum(Acc acc) { return acc; }
 
 const char* const kKernelName = "scalar";
 
 #endif
+
+// Register block of C computed by one micro-kernel call.
+constexpr std::size_t kBlockRows = 4;
+constexpr std::size_t kBlockCols = 2;
+
+// C[0..MR)[0..NR) = A[0..MR) . B[0..NR) over k. Each kStep chunk of an A
+// row or B column is widened once and reused across the whole block; each
+// output takes one horizontal reduction. A ragged k tail is copied into
+// zero-filled chunks (0 * x adds nothing), so it runs the same widen/madd
+// path. Ragged m and n instantiate smaller blocks (MR or NR = 1).
+template <std::size_t MR, std::size_t NR>
+void micro_block(std::size_t k, const std::int8_t* a, std::size_t lda,
+                 const std::int8_t* b, std::size_t ldb, std::int32_t* c,
+                 std::size_t ldc) {
+  Acc acc[MR][NR];
+  for (std::size_t i = 0; i < MR; ++i) {
+    for (std::size_t j = 0; j < NR; ++j) acc[i][j] = zero_acc();
+  }
+  const auto step = [&](const std::int8_t* const* ap,
+                        const std::int8_t* const* bp) {
+    Wide wb[NR];
+    for (std::size_t j = 0; j < NR; ++j) wb[j] = widen(bp[j]);
+    for (std::size_t i = 0; i < MR; ++i) {
+      const Wide wa = widen(ap[i]);
+      for (std::size_t j = 0; j < NR; ++j) acc[i][j] = madd(acc[i][j], wa, wb[j]);
+    }
+  };
+  const std::int8_t* ap[MR];
+  const std::int8_t* bp[NR];
+  std::size_t p = 0;
+  for (; p + kStep <= k; p += kStep) {
+    for (std::size_t i = 0; i < MR; ++i) ap[i] = a + i * lda + p;
+    for (std::size_t j = 0; j < NR; ++j) bp[j] = b + j * ldb + p;
+    step(ap, bp);
+  }
+  if (const std::size_t rem = k - p; rem > 0) {
+    std::int8_t at[MR][kStep] = {};
+    std::int8_t bt[NR][kStep] = {};
+    for (std::size_t i = 0; i < MR; ++i) {
+      std::memcpy(at[i], a + i * lda + p, rem);
+      ap[i] = at[i];
+    }
+    for (std::size_t j = 0; j < NR; ++j) {
+      std::memcpy(bt[j], b + j * ldb + p, rem);
+      bp[j] = bt[j];
+    }
+    step(ap, bp);
+  }
+  for (std::size_t i = 0; i < MR; ++i) {
+    for (std::size_t j = 0; j < NR; ++j) c[i * ldc + j] = hsum(acc[i][j]);
+  }
+}
+
+// Blocked walk over C[0..m)[col_begin..col_end): 4-row panels of A stay
+// hot in L1 while the 2-column blocks of B stream past; ragged rows and
+// columns fall to the narrower instantiations.
+template <std::size_t MR>
+void block_rows(std::size_t k, const std::int8_t* a, std::size_t lda,
+                const std::int8_t* b, std::size_t ldb, std::int32_t* c,
+                std::size_t ldc, std::size_t col_begin, std::size_t col_end) {
+  std::size_t j = col_begin;
+  for (; j + kBlockCols <= col_end; j += kBlockCols) {
+    micro_block<MR, kBlockCols>(k, a, lda, b + j * ldb, ldb, c + j, ldc);
+  }
+  if (j < col_end) micro_block<MR, 1>(k, a, lda, b + j * ldb, ldb, c + j, ldc);
+}
 
 }  // namespace
 
@@ -115,18 +179,22 @@ void igemm_nt(std::size_t m, std::size_t n, std::size_t k,
   // splitting them keeps every thread's writes disjoint and leaves the
   // K reduction whole.
   parallel_for(n, [&](std::size_t col_begin, std::size_t col_end) {
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::int8_t* arow = a + i * lda;
-      std::int32_t* crow = c + i * ldc;
-      if (kernel == IGemmKernel::kScalar) {
+    if (kernel == IGemmKernel::kScalar) {
+      for (std::size_t i = 0; i < m; ++i) {
         for (std::size_t j = col_begin; j < col_end; ++j) {
-          crow[j] = dot_scalar(arow, b + j * ldb, k);
-        }
-      } else {
-        for (std::size_t j = col_begin; j < col_end; ++j) {
-          crow[j] = dot_simd(arow, b + j * ldb, k);
+          c[i * ldc + j] = dot_scalar(a + i * lda, b + j * ldb, k);
         }
       }
+      return;
+    }
+    std::size_t i = 0;
+    for (; i + kBlockRows <= m; i += kBlockRows) {
+      block_rows<kBlockRows>(k, a + i * lda, lda, b, ldb, c + i * ldc, ldc,
+                             col_begin, col_end);
+    }
+    for (; i < m; ++i) {
+      block_rows<1>(k, a + i * lda, lda, b, ldb, c + i * ldc, ldc, col_begin,
+                    col_end);
     }
   });
 }

@@ -7,6 +7,13 @@
 // element is a contiguous int8 dot product — the friendliest shape for
 // widening-multiply SIMD.
 //
+// The kernel is register-blocked: one micro-kernel computes a 4 x 2 block
+// of C, sign-extending each 16-byte (AVX2) or 8-byte (SSE2) chunk of an A
+// row or B column once and reusing it across the block, and reducing each
+// output horizontally once. Ragged m and n run narrower instantiations;
+// a ragged k tail runs the same path on zero-filled chunks. The block is
+// written once over per-ISA widen / multiply-add / reduce primitives.
+//
 // Determinism contract (pinned by tests/runtime_igemm_test.cpp):
 //  * Accumulation is exact: |a*b| <= 127*127 = 16129, so any k up to
 //    kMaxInner products fits an int32 accumulator with no overflow and
@@ -31,11 +38,12 @@
 
 namespace wino::runtime {
 
-/// Micro-kernel selection for igemm_nt. kAuto picks the best compiled-in
-/// instruction set (AVX2 with -mavx2/-march=native, SSE2 on any x86-64,
-/// scalar otherwise); kScalar forces the portable widening int16->int32
-/// fallback. Both are bit-identical — integer accumulation is exact — so
-/// the switch exists for benchmarking and for pinning that equivalence.
+/// Micro-kernel selection for igemm_nt. kAuto runs the register-blocked
+/// kernel on the best compiled-in instruction set (AVX2 with
+/// -mavx2/-march=native, SSE2 on any x86-64, portable integers
+/// otherwise); kScalar forces one widening dot product per output, the
+/// oracle form. Both are bit-identical — integer accumulation is exact —
+/// so the switch exists for benchmarking and for pinning that equivalence.
 enum class IGemmKernel {
   kAuto,
   kScalar,

@@ -245,5 +245,45 @@ TEST(WorkspaceExecution, WarmForwardPerformsZeroHeapAllocations) {
   runtime::ThreadPool::set_global_threads(4);
 }
 
+// Int8 plans run from the same slab: a plan mixing the int8 im2col and
+// int8 F(2x2) forms performs zero heap allocations once warm, and its
+// planned peak stays at or below the ceilings below, which hold only
+// while the int8 im2col scratch is a zero-padded int8 image plus the int8
+// patch panel (an fp32 lowering panel would not fit under them).
+TEST(WorkspaceExecution, Int8PlanIsAllocationFreeUnderItsSlabCeiling) {
+  runtime::ThreadPool::set_global_threads(2);
+  const auto layers = vgg16_d_scaled(14, 16);
+  ExecutionPlan plan = uniform_plan(layers, ConvAlgo::kInt8Im2col);
+  std::size_t convs = 0;
+  for (std::size_t li = 0; li < plan.layers.size(); ++li) {
+    if (plan.layers[li].kind != LayerKind::kConv) continue;
+    if (convs++ % 3 == 0) plan.steps[li].algo = ConvAlgo::kInt8Winograd2;
+  }
+  replan_layouts(plan);
+  ASSERT_FALSE(plan.memory.empty());
+  EXPECT_LE(plan.memory.peak_bytes(1), 22848u);
+  EXPECT_LE(plan.memory.peak_bytes(8), 80192u);
+
+  const auto weights = random_weights(layers, 41);
+  Rng rng(42);
+  Tensor4f in(5, 3, 16, 16);
+  rng.fill_uniform(in.flat());
+  Tensor4f out;
+  forward(plan, weights, in, out);  // cold: quantized banks, slabs, out
+  forward(plan, weights, in, out);  // warm every pool participant
+  std::vector<float> want(out.flat().begin(), out.flat().end());
+
+  g_allocation_count.store(0);
+  g_count_allocations.store(true);
+  for (int call = 0; call < 3; ++call) forward(plan, weights, in, out);
+  g_count_allocations.store(false);
+
+  EXPECT_EQ(g_allocation_count.load(), 0u);
+  EXPECT_EQ(std::memcmp(out.flat().data(), want.data(),
+                        want.size() * sizeof(float)),
+            0);
+  runtime::ThreadPool::set_global_threads(4);
+}
+
 }  // namespace
 }  // namespace wino::nn

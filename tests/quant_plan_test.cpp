@@ -17,9 +17,11 @@
 #include <vector>
 
 #include "common/random.hpp"
+#include "conv/im2col.hpp"
 #include "conv/spatial.hpp"
 #include "nn/forward.hpp"
 #include "quant/int8.hpp"
+#include "runtime/igemm.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/inference_server.hpp"
 #include "winograd/error_model.hpp"
@@ -166,6 +168,231 @@ TEST(Int8Conv, BitIdenticalAcrossThreadCounts) {
   }
   runtime::ThreadPool::set_global_threads(
       std::max(1u, std::thread::hardware_concurrency()));
+}
+
+// ---------------------------------------------------------------------------
+// Golden formulation of the int8 im2col form: fp32 im2col lowering, a
+// transpose that quantizes every patch copy with std::nearbyint, the
+// widening reference GEMM, and the per-channel dequantizing store. The
+// production core quantizes each image once and gathers int8 patches; the
+// two must agree byte for byte on finite inputs.
+// ---------------------------------------------------------------------------
+
+std::int8_t golden_quantize(float v, float inv) {
+  const float q = std::nearbyint(v * inv);
+  return static_cast<std::int8_t>(std::clamp(q, -127.0F, 127.0F));
+}
+
+float golden_max_abs(std::span<const float> values) {
+  float worst = 0.0F;
+  for (const float v : values) worst = std::max(worst, std::abs(v));
+  return worst;
+}
+
+quant::QuantizedFilter golden_quantize_filters(const Tensor4f& kernels) {
+  const auto& ks = kernels.shape();
+  quant::QuantizedFilter qf;
+  qf.kernels = ks.n;
+  qf.channels = ks.c;
+  qf.r = ks.h;
+  const std::size_t inner = qf.inner();
+  qf.data.resize(qf.kernels * inner);
+  qf.scale.resize(qf.kernels);
+  for (std::size_t k = 0; k < qf.kernels; ++k) {
+    const auto row = kernels.flat().subspan(k * inner, inner);
+    qf.scale[k] = golden_max_abs(row) / 127.0F;
+    const float inv = qf.scale[k] > 0.0F ? 1.0F / qf.scale[k] : 0.0F;
+    for (std::size_t i = 0; i < inner; ++i) {
+      qf.data[k * inner + i] = golden_quantize(row[i], inv);
+    }
+  }
+  return qf;
+}
+
+std::vector<float> golden_im2col_int8(const Tensor4f& input,
+                                      const quant::QuantizedFilter& qf,
+                                      int pad, float act_scale,
+                                      bool fuse_relu) {
+  const auto& is = input.shape();
+  const std::size_t r = qf.r;
+  const std::size_t oh = is.h + 2 * static_cast<std::size_t>(pad) - r + 1;
+  const std::size_t ow = is.w + 2 * static_cast<std::size_t>(pad) - r + 1;
+  const std::size_t cols = oh * ow;
+  const std::size_t inner = qf.inner();
+  std::vector<float> panel(inner * cols);
+  std::vector<std::int8_t> qpanel(cols * inner);
+  std::vector<std::int32_t> acc(qf.kernels * cols);
+  std::vector<float> out(is.n * qf.kernels * cols);
+  const std::size_t volume = is.c * is.h * is.w;
+  for (std::size_t img = 0; img < is.n; ++img) {
+    conv::im2col(input, img, r, pad, /*stride=*/1, panel);
+    const float a_scale =
+        act_scale > 0.0F
+            ? act_scale
+            : golden_max_abs(input.flat().subspan(img * volume, volume)) /
+                  127.0F;
+    const float inv = a_scale > 0.0F ? 1.0F / a_scale : 0.0F;
+    for (std::size_t j = 0; j < cols; ++j) {
+      for (std::size_t kk = 0; kk < inner; ++kk) {
+        qpanel[j * inner + kk] = golden_quantize(panel[kk * cols + j], inv);
+      }
+    }
+    runtime::igemm_nt_ref(qf.kernels, cols, inner, qf.data.data(), inner,
+                          qpanel.data(), inner, acc.data(), cols);
+    for (std::size_t k = 0; k < qf.kernels; ++k) {
+      const float deq = qf.scale[k] * a_scale;
+      for (std::size_t j = 0; j < cols; ++j) {
+        const float v = static_cast<float>(acc[k * cols + j]) * deq;
+        out[(img * qf.kernels + k) * cols + j] =
+            fuse_relu ? (v > 0.0F ? v : 0.0F) : v;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Int8Golden, Im2colBitIdenticalToFp32LoweringFormulation) {
+  Rng rng(2024);
+  const std::size_t extents[] = {1, 2, 3, 5, 7, 9, 11, 13};
+  std::size_t checked = 0;
+  while (checked < 200) {
+    const std::size_t c = static_cast<std::size_t>(rng.uniform_int(1, 64));
+    const std::size_t hw = extents[rng.uniform_int(0, 7)];
+    const int pad = static_cast<int>(rng.uniform_int(0, 2));
+    const std::size_t r = static_cast<std::size_t>(2 * rng.uniform_int(0, 2) + 1);
+    if (hw + 2 * static_cast<std::size_t>(pad) < r) continue;
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 2));
+    const std::size_t kcount = static_cast<std::size_t>(rng.uniform_int(1, 9));
+    Tensor4f input(n, c, hw, hw);
+    Tensor4f kernels(kcount, c, r, r);
+    rng.fill_uniform(input.flat(), -2.0F, 2.0F);
+    rng.fill_normal(kernels.flat(), 0.0F, 0.3F);
+    const quant::QuantizedFilter qf = quant::quantize_filters(kernels);
+    const quant::QuantizedFilter gf = golden_quantize_filters(kernels);
+    ASSERT_EQ(qf.data, gf.data);
+    ASSERT_EQ(0, std::memcmp(qf.scale.data(), gf.scale.data(),
+                             qf.scale.size() * sizeof(float)));
+
+    const std::size_t hp = hw + 2 * static_cast<std::size_t>(pad);
+    const std::size_t cols = (hp - r + 1) * (hp - r + 1);
+    std::vector<std::int8_t> image(c * hp * hp);
+    std::vector<std::int8_t> qpanel(cols * qf.inner());
+    std::vector<std::int32_t> acc(kcount * cols);
+    std::vector<float> got(n * kcount * cols);
+    // Static scale below the data's range so the clamp saturates too.
+    for (const float act_scale : {0.0F, 1.5F / 127.0F}) {
+      for (const bool relu : {false, true}) {
+        quant::conv2d_im2col_int8_into(
+            tensor::Tensor4fView(input.shape(), input.flat()), qf, pad,
+            act_scale, relu, got,
+            quant::QuantIm2colScratch{image, qpanel, acc});
+        const std::vector<float> want =
+            golden_im2col_int8(input, gf, pad, act_scale, relu);
+        ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 want.size() * sizeof(float)))
+            << "C=" << c << " HW=" << hw << " pad=" << pad << " r=" << r
+            << " n=" << n << " K=" << kcount << " scale=" << act_scale
+            << " relu=" << relu;
+      }
+    }
+    ++checked;
+  }
+}
+
+TEST(Int8Golden, QuantizerMatchesNearbyintClampEverywhere) {
+  std::vector<float> values;
+  for (int h = -257; h <= 257; ++h) values.push_back(0.5F * static_cast<float>(h));
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const float fmin = std::numeric_limits<float>::min();
+  for (const float v : {tiny, -tiny, fmin / 2, -fmin / 2, fmin, -fmin, 1e30F,
+                        -1e30F, 0.0F, -0.0F}) {
+    values.push_back(v);
+  }
+  for (const float inv : {1.0F, 0.5F, 3.0F, 1.0F / 3.0F, 1e30F, 0.0F}) {
+    for (const float v : values) {
+      ASSERT_EQ(quant::quantize_symmetric(v, inv), golden_quantize(v, inv))
+          << "v=" << v << " inv=" << inv;
+    }
+    // The vector span helper agrees with the scalar form lane for lane,
+    // through its 16-wide body and its scalar tail.
+    std::vector<std::int8_t> span_q(values.size());
+    quant::quantize_span(values, inv, span_q);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      ASSERT_EQ(span_q[i], golden_quantize(values[i], inv))
+          << "v=" << values[i] << " inv=" << inv;
+    }
+  }
+}
+
+TEST(Int8Hostile, NonFiniteValuesQuantizeToDocumentedCodes) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> values = {inf, -inf, nan, -nan, inf, 1.0F, nan};
+  for (const float inv : {1.0F, 0.0F}) {
+    std::vector<std::int8_t> q(values.size());
+    quant::quantize_span(values, inv, q);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      EXPECT_EQ(q[i], quant::quantize_symmetric(values[i], inv));
+    }
+  }
+  EXPECT_EQ(quant::quantize_symmetric(inf, 1.0F), 127);
+  EXPECT_EQ(quant::quantize_symmetric(-inf, 1.0F), -127);
+  EXPECT_EQ(quant::quantize_symmetric(nan, 1.0F), 0);
+  EXPECT_EQ(quant::quantize_symmetric(inf, 0.0F), 0);  // 0 * Inf is NaN
+  // Scales come from the finite maximum.
+  EXPECT_EQ(quant::symmetric_scale(std::vector<float>{-2.0F, inf, nan, -inf}),
+            2.0F / 127.0F);
+}
+
+bool all_finite(const Tensor4f& t) {
+  return std::all_of(t.flat().begin(), t.flat().end(),
+                     [](float v) { return std::isfinite(v); });
+}
+
+// One +Inf pixel under the dynamic activation scale used to make the scale
+// Inf, its inverse 0, and every output 0 * Inf = NaN. The scale now comes
+// from the finite maximum M, the Inf pixel saturates to 127 exactly as M
+// does, so the output equals the one with the Inf replaced by M.
+TEST(Int8Hostile, InfPixelLeavesIm2colOutputFinite) {
+  Rng rng(211);
+  Tensor4f input(1, 2, 5, 5);
+  Tensor4f kernels(3, 2, 3, 3);
+  rng.fill_uniform(input.flat(), -1.0F, 1.0F);
+  rng.fill_normal(kernels.flat(), 0.0F, 0.3F);
+  Tensor4f clamped = input;
+  float max_abs = 0.0F;
+  for (const float v : input.flat()) max_abs = std::max(max_abs, std::abs(v));
+  input(0, 1, 2, 3) = std::numeric_limits<float>::infinity();
+  clamped(0, 1, 2, 3) = max_abs;
+  const Tensor4f got = quant::conv2d_im2col_int8(input, kernels, /*pad=*/1);
+  EXPECT_TRUE(all_finite(got));
+  EXPECT_TRUE(same_bits(got, quant::conv2d_im2col_int8(clamped, kernels, 1)));
+}
+
+// The int8 Winograd form calibrates each tile position from its channels'
+// transformed values; an Inf there zeroed the position and turned the
+// tile's outputs NaN. Tiles that never read the Inf pixel must not move.
+TEST(Int8Hostile, InfPixelLeavesWinogradOutputFinite) {
+  Rng rng(223);
+  Tensor4f input(1, 2, 9, 9);
+  Tensor4f kernels(3, 2, 3, 3);
+  rng.fill_uniform(input.flat(), -1.0F, 1.0F);
+  rng.fill_normal(kernels.flat(), 0.0F, 0.3F);
+  const Tensor4f clean = quant::conv2d_winograd_int8(input, kernels, 2, 1);
+  input(0, 0, 0, 0) = std::numeric_limits<float>::infinity();
+  const Tensor4f got = quant::conv2d_winograd_int8(input, kernels, 2, 1);
+  EXPECT_TRUE(all_finite(got));
+  // F(2x2) tiles at pad 1 read input rows/cols [2t - 1, 2t + 2]: only
+  // tile (0, 0), which writes outputs [0, 2) x [0, 2), reads pixel (0, 0).
+  for (std::size_t k = 0; k < 3; ++k) {
+    for (std::size_t y = 0; y < 9; ++y) {
+      for (std::size_t x = 0; x < 9; ++x) {
+        if (y < 2 && x < 2) continue;
+        EXPECT_EQ(got(0, k, y, x), clean(0, k, y, x))
+            << "k=" << k << " y=" << y << " x=" << x;
+      }
+    }
+  }
 }
 
 TEST(ErrorModel, AmplificationGrowsWithTileSize) {

@@ -27,24 +27,34 @@ void fill_int8(std::vector<std::int8_t>& v, Rng& rng) {
 
 TEST(IGemm, MatchesReferenceExhaustively) {
   // Every (m, n, k) combination memcmp'd against the widening scalar
-  // reference: ragged SIMD tails (k % 16 != 0), K=1, single-row/column
-  // edges. Exact integer accumulation makes bitwise equality the right
-  // oracle — any mismatch is a kernel bug, not a rounding difference.
+  // reference, packed and with padded strides (lda/ldb > k, ldc > n). The
+  // extents straddle the 4 x 2 register block (m, n not multiples of it)
+  // and the SIMD chunk (k on both sides of 8 and 16, plus the quick VGG's
+  // im2col depths 72..576), so every ragged edge of the micro-kernel runs.
+  // Exact integer accumulation makes bitwise equality the right oracle —
+  // any mismatch is a kernel bug, not a rounding difference.
   Rng rng(42);
-  for (const std::size_t m : {1U, 2U, 3U, 5U, 8U, 13U}) {
-    for (const std::size_t n : {1U, 2U, 7U, 16U, 33U}) {
-      for (const std::size_t k : {1U, 2U, 3U, 31U, 32U, 33U, 64U, 100U}) {
-        std::vector<std::int8_t> a(m * k);
-        std::vector<std::int8_t> b(n * k);
-        fill_int8(a, rng);
-        fill_int8(b, rng);
-        std::vector<std::int32_t> c(m * n, -1);
-        std::vector<std::int32_t> ref(m * n, -2);
-        igemm_nt(m, n, k, a.data(), k, b.data(), k, c.data(), n);
-        igemm_nt_ref(m, n, k, a.data(), k, b.data(), k, ref.data(), n);
-        ASSERT_EQ(0, std::memcmp(c.data(), ref.data(),
-                                 c.size() * sizeof(std::int32_t)))
-            << "m=" << m << " n=" << n << " k=" << k;
+  for (const std::size_t pad : {0U, 5U}) {
+    for (const std::size_t m : {1U, 2U, 3U, 4U, 5U, 7U, 8U, 9U, 13U}) {
+      for (const std::size_t n : {1U, 2U, 3U, 7U, 16U, 33U}) {
+        for (const std::size_t k : {1U, 2U, 3U, 7U, 8U, 9U, 15U, 16U, 17U,
+                                    31U, 32U, 33U, 72U, 100U, 144U, 576U}) {
+          const std::size_t lda = k + pad;
+          const std::size_t ldb = k + 2 * pad;
+          const std::size_t ldc = n + pad;
+          std::vector<std::int8_t> a(m * lda);
+          std::vector<std::int8_t> b(n * ldb);
+          fill_int8(a, rng);
+          fill_int8(b, rng);
+          std::vector<std::int32_t> c(m * ldc, -1);
+          std::vector<std::int32_t> ref(m * ldc, -1);
+          igemm_nt(m, n, k, a.data(), lda, b.data(), ldb, c.data(), ldc);
+          igemm_nt_ref(m, n, k, a.data(), lda, b.data(), ldb, ref.data(),
+                       ldc);
+          ASSERT_EQ(0, std::memcmp(c.data(), ref.data(),
+                                   c.size() * sizeof(std::int32_t)))
+              << "m=" << m << " n=" << n << " k=" << k << " pad=" << pad;
+        }
       }
     }
   }
@@ -81,24 +91,26 @@ TEST(IGemm, ExtremeOperandsExact) {
 }
 
 TEST(IGemm, BitIdenticalAcrossThreadCounts) {
+  // Odd column counts at 2, 3 and 7 threads start chunks at odd columns,
+  // splitting 2-column register blocks; 15 rows leave a ragged row block.
   Rng rng(11);
-  const std::size_t m = 16;
-  const std::size_t n = 201;  // enough columns that chunking actually splits
-  const std::size_t k = 65;
-  std::vector<std::int8_t> a(m * k);
-  std::vector<std::int8_t> b(n * k);
-  fill_int8(a, rng);
-  fill_int8(b, rng);
-  std::vector<std::int32_t> base(m * n);
-  ThreadPool::set_global_threads(1);
-  igemm_nt(m, n, k, a.data(), k, b.data(), k, base.data(), n);
-  for (const std::size_t threads : {2U, 7U}) {
-    ThreadPool::set_global_threads(threads);
-    std::vector<std::int32_t> got(m * n, 0);
-    igemm_nt(m, n, k, a.data(), k, b.data(), k, got.data(), n);
-    EXPECT_EQ(0, std::memcmp(base.data(), got.data(),
-                             base.size() * sizeof(std::int32_t)))
-        << "threads=" << threads;
+  for (const std::size_t n : {9U, 201U}) {
+    const std::size_t m = 15;
+    const std::size_t k = 65;
+    std::vector<std::int8_t> a(m * k);
+    std::vector<std::int8_t> b(n * k);
+    fill_int8(a, rng);
+    fill_int8(b, rng);
+    std::vector<std::int32_t> ref(m * n);
+    igemm_nt_ref(m, n, k, a.data(), k, b.data(), k, ref.data(), n);
+    for (const std::size_t threads : {1U, 2U, 3U, 7U}) {
+      ThreadPool::set_global_threads(threads);
+      std::vector<std::int32_t> got(m * n, 0);
+      igemm_nt(m, n, k, a.data(), k, b.data(), k, got.data(), n);
+      EXPECT_EQ(0, std::memcmp(ref.data(), got.data(),
+                               ref.size() * sizeof(std::int32_t)))
+          << "n=" << n << " threads=" << threads;
+    }
   }
   ThreadPool::set_global_threads(4);  // restore the suite's usual size
 }
