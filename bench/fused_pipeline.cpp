@@ -1,10 +1,11 @@
-// Cache-resident fused Winograd tile pipeline vs the per-tile walk, layer
-// by layer over the scaled VGG16-D conv chain at uniform F(4x4, 3x3).
+// Cache-resident fused Winograd tile blocks vs the same walk at B = 1,
+// layer by layer over the scaled VGG16-D conv chain at uniform F(4x4, 3x3).
 //
 // Both modes run winograd::conv2d_winograd_layout_into on identical
-// inputs with fused ReLU; the only difference is the scratch handed in —
-// the legacy per-tile bank (one gather -> transform -> K elementwise
-// reductions -> inverse per tile column) versus the blocked bank sized by
+// inputs with fused ReLU; the only difference is the block size of the
+// scratch handed in (both carved by nn::carve_winograd_scratch): B = 1
+// (one gather -> transform -> K per-position reductions -> inverse per
+// tile column, the "unfused" arm) versus the block sized by
 // winograd::fused_block_columns (gather B columns, run the per-position
 // coordinate GEMMs across the block, inverse-transform while the block is
 // hot in cache). The per-element accumulation chains are identical, so
@@ -19,6 +20,7 @@
 // Usage: fused_pipeline [--quick] [--out <path>]
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -28,6 +30,7 @@
 #include "common/random.hpp"
 #include "common/table.hpp"
 #include "nn/forward.hpp"
+#include "nn/memory_plan.hpp"
 #include "nn/plan.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/layout.hpp"
@@ -52,45 +55,22 @@ double median(std::vector<double> samples) {
   return *mid;
 }
 
-/// Heap-backed WinogradScratch in either executor mode (block == 0: the
-/// per-tile bank; block >= 2: the fused blocked bank) — the same extents
-/// nn::carve_winograd_scratch hands out of the planned slab.
-struct OwnedScratch {
-  std::vector<float> f;
-  std::vector<std::size_t> idx;
+/// Scratch for one walk at block size `block`, carved by
+/// nn::carve_winograd_scratch over a heap byte buffer — the extents the
+/// planned slab hands the executor.
+struct CarvedScratch {
+  std::vector<std::byte> bytes;
   WinogradScratch s;
 };
 
-OwnedScratch make_scratch(std::size_t channels, std::size_t n,
-                          std::size_t mm, std::size_t block) {
-  const std::size_t nsq = n * n;
-  const std::size_t bank =
-      block >= 2 ? channels * nsq * block + nsq * block : channels * nsq + nsq;
-  OwnedScratch o;
-  o.f.resize(nsq + bank + nsq + 2 * mm * mm);
-  o.idx.resize(3 * n);
-  float* f = o.f.data();
-  o.s.d = {f, nsq};
-  f += nsq;
-  if (block >= 2) {
-    o.s.u_blk = {f, channels * nsq * block};
-    f += channels * nsq * block;
-    o.s.acc_blk = {f, nsq * block};
-    f += nsq * block;
-  } else {
-    o.s.u_all = {f, channels * nsq};
-    f += channels * nsq;
-    o.s.prod = {f, nsq};
-    f += nsq;
-  }
-  o.s.acc_m = {f, nsq};
-  f += nsq;
-  o.s.y = {f, mm * mm};
-  f += mm * mm;
-  o.s.acc_y = {f, mm * mm};
-  o.s.row_tile = {o.idx.data(), n};
-  o.s.row_in = {o.idx.data() + n, n};
-  o.s.col_off = {o.idx.data() + 2 * n, n};
+CarvedScratch carve_scratch(std::size_t channels, std::size_t n,
+                            std::size_t mm, std::size_t block) {
+  wino::nn::ByteCarver measure;
+  (void)wino::nn::carve_winograd_scratch(measure, channels, n, mm, block);
+  CarvedScratch o;
+  o.bytes.resize(measure.used());
+  wino::nn::ByteCarver carver(o.bytes);
+  o.s = wino::nn::carve_winograd_scratch(carver, channels, n, mm, block);
   return o;
 }
 
@@ -129,7 +109,7 @@ int main(int argc, char** argv) {
   const auto n = static_cast<std::size_t>(xf.tile());
   const auto mm = static_cast<std::size_t>(kM);
 
-  std::printf("fused_pipeline — blocked tile pipeline vs per-tile walk, "
+  std::printf("fused_pipeline — blocked tile walk vs B = 1, "
               "F(4x4, 3x3)\nscaled VGG16-D conv layers (%zux%zu input, "
               "batch %zu), %d interleaved reps, cache budget %zu KiB\n\n",
               224 / scale, 224 / scale, batch, reps,
@@ -159,13 +139,11 @@ int main(int argc, char** argv) {
     r.kernels = c.k;
     const std::size_t columns = batch * ((c.out_h() + mm - 1) / mm) *
                                 ((c.out_w() + mm - 1) / mm);
-    r.block = std::min(wino::winograd::fused_block_columns(
-                           c.c, n, wino::winograd::kFusedCacheBudgetBytes),
-                       columns);
-    if (r.block < 2) continue;  // geometry too small to fuse: skip
+    r.block = wino::winograd::default_block_columns(c.c, n, columns);
+    if (r.block == 1) continue;  // both arms would be the B = 1 walk: skip
 
-    OwnedScratch unfused = make_scratch(c.c, n, mm, 0);
-    OwnedScratch fused = make_scratch(c.c, n, mm, r.block);
+    const CarvedScratch unfused = carve_scratch(c.c, n, mm, 1);
+    const CarvedScratch fused = carve_scratch(c.c, n, mm, r.block);
     std::vector<float> out_unfused(ol.volume());
     std::vector<float> out_fused(ol.volume());
 
@@ -225,7 +203,7 @@ int main(int argc, char** argv) {
   double total_unfused_ms = 0;
   double total_fused_ms = 0;
   wino::common::TextTable table;
-  table.header({"layer", "c", "k", "block", "unfused ms", "fused ms",
+  table.header({"layer", "c", "k", "block", "B=1 ms", "fused ms",
                 "speedup", "bit-identical"});
   for (const LayerResult& r : results) {
     total_unfused_ms += r.unfused_ms;
@@ -245,12 +223,12 @@ int main(int argc, char** argv) {
       total_fused_ms > 0 ? total_unfused_ms / total_fused_ms : 0.0;
   const double paired_speedup = median(all_ratios);
   // The fused scratch must never raise the planned slab peak: the planner
-  // carves blocks only where the unfused high-water mark already has room.
+  // carves blocks only where the B = 1 high-water mark already has room.
   const std::size_t w4_peak =
       wino::nn::uniform_plan(layers, wino::nn::ConvAlgo::kWinograd4)
           .memory.peak_bytes(1);
 
-  std::printf("\nconv chain: unfused %.3f ms, fused %.3f ms -> %.3fx "
+  std::printf("\nconv chain: B=1 %.3f ms, fused %.3f ms -> %.3fx "
               "(paired-rep median %.3fx)\nuniform-W4 planned slab peak: "
               "%zu bytes/image\nbit-identity: %s\n",
               total_unfused_ms, total_fused_ms, chain_speedup,

@@ -48,17 +48,8 @@ winograd::WinogradScratch carve_winograd_scratch(ByteCarver& carver,
   const std::size_t nsq = n_tile * n_tile;
   winograd::WinogradScratch s;
   s.d = carver.take<float>(nsq);
-  if (block_columns > 1) {
-    // Fused tile-block layout: the [n*n][C][B] bank and its accumulators
-    // replace the per-tile bank + product tile. At B == 1 the two
-    // compositions carve identical bytes, so the block size only ever
-    // grows a step's scratch, never shrinks it below the per-tile cost.
-    s.u_blk = carver.take<float>(channels * nsq * block_columns);
-    s.acc_blk = carver.take<float>(nsq * block_columns);
-  } else {
-    s.u_all = carver.take<float>(channels * nsq);
-    s.prod = carver.take<float>(nsq);
-  }
+  s.u_blk = carver.take<float>(channels * nsq * block_columns);
+  s.acc_blk = carver.take<float>(nsq * block_columns);
   s.acc_m = carver.take<float>(nsq);
   s.y = carver.take<float>(m * m);
   s.acc_y = carver.take<float>(m * m);
@@ -87,17 +78,10 @@ quant::QuantWinogradScratch carve_quant_winograd_scratch(
   const std::size_t nsq = n_tile * n_tile;
   quant::QuantWinogradScratch s;
   s.d = carver.take<float>(nsq);
-  if (block_columns > 1) {
-    s.u_blk = carver.take<float>(channels * nsq * block_columns);
-    s.sv_blk = carver.take<float>(nsq * block_columns);
-    s.uq_blk = carver.take<std::int8_t>(channels * nsq * block_columns);
-    s.acc_blk = carver.take<std::int32_t>(nsq * block_columns);
-  } else {
-    s.u_all = carver.take<float>(channels * nsq);
-    s.sv = carver.take<float>(nsq);
-    s.uq_all = carver.take<std::int8_t>(channels * nsq);
-    s.acc = carver.take<std::int32_t>(nsq);
-  }
+  s.u_blk = carver.take<float>(channels * nsq * block_columns);
+  s.sv_blk = carver.take<float>(nsq * block_columns);
+  s.uq_blk = carver.take<std::int8_t>(channels * nsq * block_columns);
+  s.acc_blk = carver.take<std::int32_t>(nsq * block_columns);
   s.m_f = carver.take<float>(nsq);
   s.y = carver.take<float>(m * m);
   return s;
@@ -282,8 +266,8 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input,
 
   // Fused block sizing pass: grow each Winograd step's scratch to the
   // largest block the cache budget allows WITHOUT raising the slab peak at
-  // 1 or 8 images over the per-tile plan — the fused pipeline's locality
-  // win must not cost a byte of planned peak (the bench gate pins it).
+  // 1 or 8 images over the all-B = 1 plan — the block's locality win must
+  // not cost a byte of planned peak (the bench gate pins it).
   // First-fit interval packing is not monotone in a buffer's size, so each
   // candidate is verified by re-resolving the whole plan; the binary
   // search just orders the probes.
@@ -297,10 +281,10 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input,
       // call; chunks max out at 8 images, so a bigger block is pure waste.
       const std::size_t cap = std::min(cache_cap, ws.tiles * 8);
       // Blocks narrower than the coordinate GEMM's register tile run all
-      // columns through the scalar tail and lose to the per-tile walk.
+      // columns through the strided tail and lose to B = 1.
       if (cap < winograd::kFusedMinBlockColumns) continue;
       PlannedBuffer& buf = mp.buffers[ws.buffer];
-      const std::size_t unfused_bytes = buf.fixed_bytes;
+      const std::size_t unit_bytes = buf.fixed_bytes;
       const auto fits = [&](std::size_t block) {
         buf.fixed_bytes = measure_wino_scratch(ws, block);
         return mp.peak_bytes(1) <= peak1 && mp.peak_bytes(8) <= peak8;
@@ -319,7 +303,7 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input,
       if (best >= 2 && fits(best)) {
         mp.step_block_columns[ws.step] = best;
       } else {
-        buf.fixed_bytes = unfused_bytes;
+        buf.fixed_bytes = unit_bytes;
       }
     }
   }

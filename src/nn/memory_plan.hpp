@@ -105,12 +105,11 @@ struct MemoryPlan {
   std::vector<std::ptrdiff_t> step_activation;
   /// Per step: buffers index of the layer's scratch, or -1 when none.
   std::vector<std::ptrdiff_t> step_scratch;
-  /// Per step: fused tile-block columns for Winograd conv steps (fp32 or
-  /// int8), 1 for the per-tile walk and for every other layer kind. Sized
-  /// so the blocked scratch fits the cache budget WITHOUT raising the
-  /// slab's peak bytes at 1 or 8 images over the unfused plan (the planner
-  /// shrinks the block until the peak is neutral; a zero-slack step simply
-  /// stays at 1).
+  /// Per step: tile columns per block B for Winograd conv steps (fp32 or
+  /// int8), 1 for every other layer kind. Sized so the block's scratch
+  /// fits the cache budget WITHOUT raising the slab's peak bytes at 1 or 8
+  /// images over the all-B = 1 plan (the planner shrinks the block until
+  /// the peak is neutral; a zero-slack step simply stays at B = 1).
   std::vector<std::size_t> step_block_columns;
   /// Per step: planned Layout of the output activation with shape.n == 1.
   std::vector<tensor::Layout> act_layout;
@@ -150,7 +149,7 @@ struct MemoryPlan {
 /// a flat channel vector). Throws std::invalid_argument when the shape is
 /// not derivable (pool-first stacks) or a layer's output would be empty.
 /// `fuse_blocks` enables the peak-neutral fused block sizing pass
-/// (step_block_columns); false plans every Winograd step per-tile.
+/// (step_block_columns); false plans every Winograd step at B = 1.
 [[nodiscard]] MemoryPlan build_memory_plan(const ExecutionPlan& plan,
                                            bool fuse_blocks = true);
 
@@ -163,10 +162,8 @@ struct MemoryPlan {
 /// Carve (or measure) the scratch of one Winograd conv layer: the data
 /// tile, transform bank, accumulator tiles and the tile-form gather maps
 /// of winograd::conv2d_winograd_layout_into. `n_tile` is the transformer's
-/// m + r - 1 edge. `block_columns` > 1 carves the fused tile-block layout
-/// (u_blk/acc_blk) instead of the per-tile bank (u_all/prod); at 1 the
-/// composition — and therefore the carved byte count — is exactly the
-/// per-tile layout's.
+/// m + r - 1 edge. `block_columns` is the walk's block size B >= 1: the
+/// bank and accumulators scale with it, everything else is one tile.
 [[nodiscard]] winograd::WinogradScratch carve_winograd_scratch(
     ByteCarver& carver, std::size_t channels, std::size_t n_tile,
     std::size_t m, std::size_t block_columns = 1);

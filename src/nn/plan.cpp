@@ -532,17 +532,22 @@ QuantCalibration calibrate_activations(const std::vector<LayerSpec>& layers,
           throw std::invalid_argument(
               "calibrate_activations: missing conv weights");
         }
+        // Finite values only, as quant::symmetric_scale: one Inf would make
+        // the static act_scale Inf (quantizing every later input to 0),
+        // one NaN would make rms NaN and price int8 at infinity.
         LayerActivationStats stats;
         double sum_sq = 0;
-        const auto flat = act.flat();
-        for (const float v : flat) {
+        std::size_t finite = 0;
+        for (const float v : act.flat()) {
+          if (!std::isfinite(v)) continue;
           const double d = static_cast<double>(v);
           stats.max_abs = std::max(stats.max_abs, std::abs(d));
           sum_sq += d * d;
+          ++finite;
         }
-        stats.rms = flat.empty()
+        stats.rms = finite == 0
                         ? 0.0
-                        : std::sqrt(sum_sq / static_cast<double>(flat.size()));
+                        : std::sqrt(sum_sq / static_cast<double>(finite));
         cal.conv_inputs.push_back(stats);
         act = run_conv(ConvAlgo::kIm2col, act, weights.conv_kernels[conv_idx],
                        l.conv.pad);

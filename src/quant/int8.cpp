@@ -73,6 +73,25 @@ void gather_patches(const PatchGeometry& g, const std::int8_t* image,
   }
 }
 
+// acc[i] = sum over c of uq[(c * nsq + i) * B] * vq[c * nsq + i]: the
+// int32 channel reduction of one tile column of a [C][n*n][B] bank (uq
+// points at the column) against one kernel's [C][n*n] bank. S fixes the
+// column stride B at compile time (0 reads `block`), so the one-column
+// bank's contiguous loop vectorises.
+template <std::size_t S>
+void reduce_column(const std::int8_t* uq, std::size_t block,
+                   const std::int8_t* vq, std::size_t channels,
+                   std::size_t nsq, std::int32_t* acc) {
+  const std::size_t stride = S > 0 ? S : block;
+  std::fill(acc, acc + nsq, 0);
+  for (std::size_t c = 0; c < channels; ++c, uq += nsq * block, vq += nsq) {
+    for (std::size_t i = 0; i < nsq; ++i) {
+      acc[i] += static_cast<std::int32_t>(uq[i * stride]) *
+                static_cast<std::int32_t>(vq[i]);
+    }
+  }
+}
+
 }  // namespace
 
 float symmetric_scale(std::span<const float> values) {
@@ -175,15 +194,6 @@ QuantizedWinogradKernels quantize_winograd_kernels(
       for (std::size_t c = 0; c < qk.channels; ++c) {
         qk.data[(k * qk.channels + c) * nsq + i] =
             quantize_symmetric(kbase[c * nsq + i], inv);
-      }
-    }
-  }
-  qk.pos.resize(qk.data.size());
-  for (std::size_t k = 0; k < qk.kernels; ++k) {
-    for (std::size_t c = 0; c < qk.channels; ++c) {
-      const std::int8_t* v_kc = qk.data.data() + (k * qk.channels + c) * nsq;
-      for (std::size_t i = 0; i < nsq; ++i) {
-        qk.pos[(k * nsq + i) * qk.channels + c] = v_kc[i];
       }
     }
   }
@@ -295,25 +305,16 @@ void conv2d_winograd_int8_into(const tensor::Tensor4fView& input,
   check_span(scratch.m_f.size(), nsq, "m_f");
   check_span(scratch.y.size(), msq, "y");
   check_span(out.size(), is.n * qk.kernels * oh * ow, "out");
-  std::size_t block = 0;  // fused block size, 0 = per-tile walk
-  if (scratch.u_blk.empty()) {
-    check_span(scratch.u_all.size(), is.c * nsq, "u_all");
-    check_span(scratch.sv.size(), nsq, "sv");
-    check_span(scratch.uq_all.size(), is.c * nsq, "uq_all");
-    check_span(scratch.acc.size(), nsq, "acc");
-  } else {
-    block = scratch.u_blk.size() / (is.c * nsq);
-    if (block < 2 || !scratch.u_all.empty() || !scratch.sv.empty() ||
-        !scratch.uq_all.empty() || !scratch.acc.empty()) {
-      throw std::invalid_argument(
-          "conv2d_winograd_int8: blocked scratch must replace the per-tile "
-          "bank with B >= 2 columns");
-    }
-    check_span(scratch.u_blk.size(), is.c * nsq * block, "u_blk");
-    check_span(scratch.sv_blk.size(), nsq * block, "sv_blk");
-    check_span(scratch.uq_blk.size(), is.c * nsq * block, "uq_blk");
-    check_span(scratch.acc_blk.size(), nsq * block, "acc_blk");
+  const std::size_t B = scratch.acc_blk.size() / nsq;
+  const std::size_t C = is.c;
+  if (B == 0) {
+    throw std::invalid_argument(
+        "conv2d_winograd_int8: scratch must hold at least one tile column");
   }
+  check_span(scratch.u_blk.size(), C * nsq * B, "u_blk");
+  check_span(scratch.sv_blk.size(), nsq * B, "sv_blk");
+  check_span(scratch.uq_blk.size(), C * nsq * B, "uq_blk");
+  check_span(scratch.acc_blk.size(), nsq * B, "acc_blk");
 
   // The Winograd form self-calibrates in the transform domain: each tile
   // position takes its scale from the observed max across channels (the
@@ -322,161 +323,121 @@ void conv2d_winograd_int8_into(const tensor::Tensor4fView& input,
   // static act_scale is for the spatial-domain forms; ignore it here.
   (void)act_scale;
 
-  // Gather one channel of the tile at (ty, tx) into scratch.d.
-  const auto gather = [&](std::size_t img, std::size_t c, std::size_t ty,
-                          std::size_t tx) {
-    const std::ptrdiff_t base_h = static_cast<std::ptrdiff_t>(ty * m) - pad;
-    const std::ptrdiff_t base_w = static_cast<std::ptrdiff_t>(tx * m) - pad;
+  // Tile column (img, ty, tx), stepped in flattened column order.
+  struct Column {
+    std::size_t img, ty, tx;
+  };
+  const std::size_t tiles_img = tiles_y * tiles_x;
+  const auto advance = [&](Column& col) {
+    if (++col.tx < tiles_x) return;
+    col.tx = 0;
+    if (++col.ty < tiles_y) return;
+    col.ty = 0;
+    ++col.img;
+  };
+  // Gather one channel of the tile at `col` into scratch.d.
+  const auto gather = [&](const Column& col, std::size_t c) {
+    const std::ptrdiff_t base_h = static_cast<std::ptrdiff_t>(col.ty * m) - pad;
+    const std::ptrdiff_t base_w = static_cast<std::ptrdiff_t>(col.tx * m) - pad;
     for (std::size_t i = 0; i < n_tile; ++i) {
       for (std::size_t j = 0; j < n_tile; ++j) {
         scratch.d[i * n_tile + j] =
-            input.padded(img, c, base_h + static_cast<std::ptrdiff_t>(i),
+            input.padded(col.img, c, base_h + static_cast<std::ptrdiff_t>(i),
                          base_w + static_cast<std::ptrdiff_t>(j));
       }
     }
   };
-  // Inverse-transform scratch.m_f and scatter kernel k's tile at (ty, tx).
-  const auto finish_tile = [&](float* obase, std::size_t k, std::size_t ty,
-                               std::size_t tx) {
+  // Inverse-transform scratch.m_f and scatter kernel k's tile at `col`.
+  const auto finish_tile = [&](std::size_t k, const Column& col) {
     xf.inverse(scratch.m_f, scratch.y);
-    float* oplane = obase + k * oh * ow;
-    const std::size_t lim_h = std::min(m, oh - ty * m);
-    const std::size_t lim_w = std::min(m, ow - tx * m);
+    float* oplane = out.data() + (col.img * qk.kernels + k) * oh * ow;
+    const std::size_t lim_h = std::min(m, oh - col.ty * m);
+    const std::size_t lim_w = std::min(m, ow - col.tx * m);
     for (std::size_t i = 0; i < lim_h; ++i) {
       for (std::size_t j = 0; j < lim_w; ++j) {
         float v = scratch.y[i * m + j];
         if (fuse_relu && v < 0.0F) v = 0.0F;
-        oplane[(ty * m + i) * ow + tx * m + j] = v;
+        oplane[(col.ty * m + i) * ow + col.tx * m + j] = v;
       }
     }
   };
-
-  if (block == 0) {
-    for (std::size_t img = 0; img < is.n; ++img) {
-      float* obase = out.data() + img * qk.kernels * oh * ow;
-      for (std::size_t ty = 0; ty < tiles_y; ++ty) {
-        for (std::size_t tx = 0; tx < tiles_x; ++tx) {
-          for (std::size_t c = 0; c < is.c; ++c) {
-            gather(img, c, ty, tx);
-            xf.transform_data(scratch.d,
-                              scratch.u_all.subspan(c * nsq, nsq));
-          }
-          for (std::size_t i = 0; i < nsq; ++i) {
-            float pos_max = 0.0F;
-            for (std::size_t c = 0; c < is.c; ++c) {
-              pos_max = finite_max_abs(pos_max, scratch.u_all[c * nsq + i]);
-            }
-            scratch.sv[i] = pos_max / 127.0F;
-            const float inv = pos_max > 0.0F ? 127.0F / pos_max : 0.0F;
-            for (std::size_t c = 0; c < is.c; ++c) {
-              scratch.uq_all[c * nsq + i] =
-                  quantize_symmetric(scratch.u_all[c * nsq + i], inv);
-            }
-          }
-          for (std::size_t k = 0; k < qk.kernels; ++k) {
-            std::fill(scratch.acc.begin(), scratch.acc.end(), 0);
-            const std::int8_t* vbase =
-                qk.data.data() + k * qk.channels * nsq;
-            for (std::size_t c = 0; c < is.c; ++c) {
-              const std::int8_t* uq = scratch.uq_all.data() + c * nsq;
-              const std::int8_t* vq = vbase + c * nsq;
-              for (std::size_t i = 0; i < nsq; ++i) {
-                scratch.acc[i] += static_cast<std::int32_t>(uq[i]) *
-                                  static_cast<std::int32_t>(vq[i]);
-              }
-            }
-            const float* kscale = qk.scale.data() + k * nsq;
-            for (std::size_t i = 0; i < nsq; ++i) {
-              scratch.m_f[i] = static_cast<float>(scratch.acc[i]) *
-                               (kscale[i] * scratch.sv[i]);
-            }
-            finish_tile(obase, k, ty, tx);
-          }
+  // The tile walk of winograd::conv2d_winograd_layout_into over integer
+  // operands: per block of B columns, transform every channel into the
+  // [C][n*n][B] bank, self-calibrate and quantize each column, then per
+  // kernel reduce over channels — a register-tiled int32 coordinate GEMM
+  // over full kRegCols-column tiles, a per-position loop for the rest —
+  // and dequantize / inverse / scatter each column. Every per-tile
+  // quantity comes from that tile's own data by the same fp32 expressions
+  // and the reduction is exact int32, so B never changes the output.
+  constexpr std::size_t kRegCols = 8;
+  const std::size_t columns = is.n * tiles_img;
+  Column col{0, 0, 0};
+  for (std::size_t base = 0; base < columns; base += B) {
+    const std::size_t bcols = std::min(B, columns - base);
+    const Column first = col;
+    for (std::size_t t = 0; t < bcols; ++t, advance(col)) {
+      for (std::size_t c = 0; c < C; ++c) {
+        gather(col, c);
+        if (B == 1) {
+          xf.transform_data(scratch.d, scratch.u_blk.subspan(c * nsq, nsq));
+          continue;
+        }
+        xf.transform_data(scratch.d, scratch.m_f);
+        float* lane = scratch.u_blk.data() + c * nsq * B + t;
+        for (std::size_t i = 0; i < nsq; ++i) lane[i * B] = scratch.m_f[i];
+      }
+    }
+    for (std::size_t t = 0; t < bcols; ++t) {
+      for (std::size_t i = 0; i < nsq; ++i) {
+        const float* ue = scratch.u_blk.data() + i * B + t;
+        std::int8_t* qe = scratch.uq_blk.data() + i * B + t;
+        float pos_max = 0.0F;
+        for (std::size_t c = 0; c < C; ++c) {
+          pos_max = finite_max_abs(pos_max, ue[c * nsq * B]);
+        }
+        scratch.sv_blk[t * nsq + i] = pos_max / 127.0F;
+        const float inv = pos_max > 0.0F ? 127.0F / pos_max : 0.0F;
+        for (std::size_t c = 0; c < C; ++c) {
+          qe[c * nsq * B] = quantize_symmetric(ue[c * nsq * B], inv);
         }
       }
     }
-    return;
-  }
-
-  // Fused tile-block pipeline (see winograd::run_columns_fused for the
-  // fp32 analogue): per block of B tiles, transform + self-calibrate +
-  // quantize into the [n*n][C][B] banks, run one int32 coordinate GEMM
-  // per (kernel, position) over the block's columns, then dequantize /
-  // inverse / scatter per tile. Every per-tile quantity is computed from
-  // that tile's own data by the same fp32 expressions (and the reduction
-  // is exact int32), so the result is bit-identical to the per-tile walk.
-  const std::size_t B = block;
-  const std::size_t C = is.c;
-  const std::size_t tiles_total = tiles_y * tiles_x;
-  for (std::size_t img = 0; img < is.n; ++img) {
-    float* obase = out.data() + img * qk.kernels * oh * ow;
-    for (std::size_t base = 0; base < tiles_total; base += B) {
-      const std::size_t bcols = std::min(B, tiles_total - base);
-      for (std::size_t t = 0; t < bcols; ++t) {
-        const std::size_t ty = (base + t) / tiles_x;
-        const std::size_t tx = (base + t) % tiles_x;
-        for (std::size_t c = 0; c < C; ++c) {
-          gather(img, c, ty, tx);
-          xf.transform_data(scratch.d, scratch.m_f);
-          float* lane = scratch.u_blk.data() + c * B + t;
-          for (std::size_t i = 0; i < nsq; ++i) {
-            lane[i * C * B] = scratch.m_f[i];
+    const std::size_t full = bcols / kRegCols * kRegCols;
+    for (std::size_t k = 0; k < qk.kernels; ++k) {
+      for (std::size_t i = 0; full > 0 && i < nsq; ++i) {
+        const std::int8_t* vp = qk.data.data() + k * C * nsq + i;
+        for (std::size_t t = 0; t < full; t += kRegCols) {
+          std::int32_t acc[kRegCols] = {};
+          const std::int8_t* up = scratch.uq_blk.data() + i * B + t;
+          for (std::size_t c = 0; c < C; ++c, up += nsq * B) {
+            const auto vv = static_cast<std::int32_t>(vp[c * nsq]);
+            for (std::size_t j = 0; j < kRegCols; ++j) {
+              acc[j] += static_cast<std::int32_t>(up[j]) * vv;
+            }
           }
+          std::int32_t* dst = scratch.acc_blk.data() + t * nsq + i;
+          for (std::size_t j = 0; j < kRegCols; ++j) dst[j * nsq] = acc[j];
         }
       }
-      for (std::size_t i = 0; i < nsq; ++i) {
-        const float* ue = scratch.u_blk.data() + i * C * B;
-        std::int8_t* qe = scratch.uq_blk.data() + i * C * B;
-        float* sve = scratch.sv_blk.data() + i * B;
-        for (std::size_t t = 0; t < bcols; ++t) {
-          float pos_max = 0.0F;
-          for (std::size_t c = 0; c < C; ++c) {
-            pos_max = finite_max_abs(pos_max, ue[c * B + t]);
-          }
-          sve[t] = pos_max / 127.0F;
-          const float inv = pos_max > 0.0F ? 127.0F / pos_max : 0.0F;
-          for (std::size_t c = 0; c < C; ++c) {
-            qe[c * B + t] = quantize_symmetric(ue[c * B + t], inv);
+      const float* kscale = qk.scale.data() + k * nsq;
+      Column at = first;
+      for (std::size_t t = 0; t < bcols; ++t, advance(at)) {
+        if (t >= full) {
+          const std::int8_t* uq = scratch.uq_blk.data() + t;
+          const std::int8_t* vq = qk.data.data() + k * C * nsq;
+          std::int32_t* acc = scratch.acc_blk.data() + t * nsq;
+          if (B == 1) {
+            reduce_column<1>(uq, B, vq, C, nsq, acc);
+          } else {
+            reduce_column<0>(uq, B, vq, C, nsq, acc);
           }
         }
-      }
-      for (std::size_t k = 0; k < qk.kernels; ++k) {
-        constexpr std::size_t kRegCols = 8;
+        const std::int32_t* acc = scratch.acc_blk.data() + t * nsq;
+        const float* sv = scratch.sv_blk.data() + t * nsq;
         for (std::size_t i = 0; i < nsq; ++i) {
-          const std::int8_t* vp = qk.v_pos(k, i).data();
-          const std::int8_t* qe = scratch.uq_blk.data() + i * C * B;
-          std::int32_t* accrow = scratch.acc_blk.data() + i * B;
-          std::size_t t = 0;
-          for (; t + kRegCols <= bcols; t += kRegCols) {
-            std::int32_t acc[kRegCols] = {};
-            for (std::size_t c = 0; c < C; ++c) {
-              const auto vv = static_cast<std::int32_t>(vp[c]);
-              const std::int8_t* up = qe + c * B + t;
-              for (std::size_t j = 0; j < kRegCols; ++j) {
-                acc[j] += static_cast<std::int32_t>(up[j]) * vv;
-              }
-            }
-            for (std::size_t j = 0; j < kRegCols; ++j) accrow[t + j] = acc[j];
-          }
-          for (; t < bcols; ++t) {
-            std::int32_t a = 0;
-            for (std::size_t c = 0; c < C; ++c) {
-              a += static_cast<std::int32_t>(qe[c * B + t]) *
-                   static_cast<std::int32_t>(vp[c]);
-            }
-            accrow[t] = a;
-          }
+          scratch.m_f[i] = static_cast<float>(acc[i]) * (kscale[i] * sv[i]);
         }
-        const float* kscale = qk.scale.data() + k * nsq;
-        for (std::size_t t = 0; t < bcols; ++t) {
-          const std::size_t ty = (base + t) / tiles_x;
-          const std::size_t tx = (base + t) % tiles_x;
-          for (std::size_t i = 0; i < nsq; ++i) {
-            scratch.m_f[i] = static_cast<float>(scratch.acc_blk[i * B + t]) *
-                             (kscale[i] * scratch.sv_blk[i * B + t]);
-          }
-          finish_tile(obase, k, ty, tx);
-        }
+        finish_tile(k, at);
       }
     }
   }
@@ -515,11 +476,14 @@ tensor::Tensor4f run_winograd_int8(const tensor::Tensor4f& input,
   const std::size_t msq = static_cast<std::size_t>(xf.m() * xf.m());
   const std::size_t oh = is.h + 2 * static_cast<std::size_t>(pad) - r + 1;
   const std::size_t ow = is.w + 2 * static_cast<std::size_t>(pad) - r + 1;
+  const std::size_t block = winograd::default_block_columns(
+      is.c, n_tile, is.n * ((oh + xf.m() - 1) / xf.m()) *
+                        ((ow + xf.m() - 1) / xf.m()));
   std::vector<float> d(nsq);
-  std::vector<float> u_all(is.c * nsq);
-  std::vector<float> sv(nsq);
-  std::vector<std::int8_t> uq_all(is.c * nsq);
-  std::vector<std::int32_t> acc(nsq);
+  std::vector<float> u_blk(is.c * nsq * block);
+  std::vector<float> sv_blk(nsq * block);
+  std::vector<std::int8_t> uq_blk(is.c * nsq * block);
+  std::vector<std::int32_t> acc_blk(nsq * block);
   std::vector<float> m_f(nsq);
   std::vector<float> y(msq);
   tensor::Tensor4f out(is.n, qk.kernels, oh, ow);
@@ -527,14 +491,10 @@ tensor::Tensor4f run_winograd_int8(const tensor::Tensor4f& input,
       tensor::Tensor4fView(is, input.flat()), qk, xf, pad, act_scale,
       /*fuse_relu=*/false, out.flat(),
       QuantWinogradScratch{.d = d,
-                           .u_all = u_all,
-                           .sv = sv,
-                           .uq_all = uq_all,
-                           .acc = acc,
-                           .u_blk = {},
-                           .sv_blk = {},
-                           .uq_blk = {},
-                           .acc_blk = {},
+                           .u_blk = u_blk,
+                           .sv_blk = sv_blk,
+                           .uq_blk = uq_blk,
+                           .acc_blk = acc_blk,
                            .m_f = m_f,
                            .y = y});
   return out;

@@ -107,19 +107,10 @@ struct QuantizedFilter {
 /// positions of quantization levels.
 struct QuantizedWinogradKernels {
   std::vector<std::int8_t> data;  ///< [k][c][n*n] quantized V tiles
-  std::vector<std::int8_t> pos;   ///< [k][n*n][c], same values re-ordered
   std::vector<float> scale;       ///< [k][n*n]: max_c |V_kc[i]| / 127
   std::size_t kernels = 0;        ///< output channels K
   std::size_t channels = 0;       ///< input channels C
   std::size_t tile_sq = 0;        ///< (m + r - 1)^2 values per tile
-
-  /// Position-major view: all C channels of tile position `i` for kernel
-  /// k, contiguous in c — streamed by the fused block executor's int32
-  /// coordinate GEMM (see conv2d_winograd_int8_into).
-  [[nodiscard]] std::span<const std::int8_t> v_pos(std::size_t k,
-                                                   std::size_t i) const {
-    return {pos.data() + (k * tile_sq + i) * channels, channels};
-  }
 };
 
 /// Pre-transform and quantize a KCrr kernel bank for F(m x m, r x r) under
@@ -140,28 +131,21 @@ struct QuantIm2colScratch {
 /// Caller-provided scratch for conv2d_winograd_int8_into; carved by
 /// nn::carve_quant_winograd_scratch. Extents validated at entry.
 ///
-/// Mirrors winograd::WinogradScratch's two executor modes:
-///  - per-tile: u_all / sv / uq_all / acc populated, blocked spans empty;
-///  - fused tile-block pipeline: u_blk [n*n][C][B] fp32 bank, sv_blk
-///    [n*n][B] per-position scales, uq_blk [n*n][C][B] quantized bank,
-///    acc_blk [n*n][B] int32 accumulators (B = u_blk.size() / (C * n*n)
-///    >= 2) — the per-tile spans must then be empty, and m_f doubles as
-///    the transform staging / dequantized gather tile. Every per-tile
-///    quantity (pos_max, sv, quantized values, int32 sums, dequant
-///    products) depends only on that tile's own data, so the blocked walk
-///    is bit-identical to the per-tile walk.
+/// Holds one block of B >= 1 tile columns (B = acc_blk.size() / (n*n)),
+/// laid out like winograd::WinogradScratch: the fp32 transform bank, its
+/// per-position scales, the quantized bank and the int32 accumulators;
+/// m_f doubles as the transform staging and dequantized tile. Every
+/// per-tile quantity (position scales, quantized values, int32 sums,
+/// dequantized products) depends only on that tile's own data, so the
+/// output does not depend on B.
 struct QuantWinogradScratch {
-  std::span<float> d;             ///< n*n gathered input tile
-  std::span<float> u_all;         ///< C * n*n fp32 transformed tiles
-  std::span<float> sv;            ///< n*n per-position data scales
-  std::span<std::int8_t> uq_all;  ///< C * n*n quantized transform tiles
-  std::span<std::int32_t> acc;    ///< n*n int32 channel accumulator
-  std::span<float> u_blk;           ///< [n*n][C][B] fp32 bank (fused)
-  std::span<float> sv_blk;          ///< [n*n][B] data scales (fused)
-  std::span<std::int8_t> uq_blk;    ///< [n*n][C][B] quantized bank (fused)
-  std::span<std::int32_t> acc_blk;  ///< [n*n][B] accumulators (fused)
-  std::span<float> m_f;           ///< n*n dequantized transform tile
-  std::span<float> y;             ///< m*m inverse-transformed tile
+  std::span<float> d;               ///< n*n gathered input tile
+  std::span<float> u_blk;           ///< [C][n*n][B] fp32 transform bank
+  std::span<float> sv_blk;          ///< [B][n*n] per-position data scales
+  std::span<std::int8_t> uq_blk;    ///< [C][n*n][B] quantized bank
+  std::span<std::int32_t> acc_blk;  ///< [B][n*n] int32 channel sums
+  std::span<float> m_f;             ///< n*n staging / dequantized tile
+  std::span<float> y;               ///< m*m inverse-transformed tile
 };
 
 /// \brief Allocation-free int8 im2col convolution over an NCHW batch view.
@@ -203,7 +187,9 @@ void conv2d_im2col_int8_into(const tensor::Tensor4fView& input,
 /// transform, bounds-checked scatter (optionally fusing ReLU). The
 /// per-position scales track the transform's position-dependent dynamic
 /// range; a single worst-case ||B^T||_inf^2 scale would leave F(4x4, 3x3)
-/// only a few of the 127 levels at most positions.
+/// only a few of the 127 levels at most positions. Tiles of all images are
+/// walked in blocks of the scratch's B columns, whose int32 reduction runs
+/// as a register-tiled coordinate GEMM; the output does not depend on B.
 ///
 /// \param input     NCHW batch view (any n).
 /// \param qk        transform-domain bank built by quantize_winograd_kernels

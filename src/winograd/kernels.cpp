@@ -20,6 +20,13 @@ std::size_t fused_block_columns(std::size_t channels, std::size_t tile,
   return std::clamp<std::size_t>(fit, 1, kFusedMaxBlockColumns);
 }
 
+std::size_t default_block_columns(std::size_t channels, std::size_t tile,
+                                  std::size_t columns) {
+  const std::size_t block = std::min(
+      fused_block_columns(channels, tile, kFusedCacheBudgetBytes), columns);
+  return block < kFusedMinBlockColumns ? 1 : block;
+}
+
 TileTransformer::TileTransformer(const TransformSet& t)
     : m_(t.m), r_(t.r), n_(t.tile()), bt_(t.bt_f()), g_(t.g_f()),
       at_(t.at_f()) {}
@@ -133,17 +140,6 @@ TransformedKernels::TransformedKernels(const TileTransformer& xf,
       }
       xf.transform_filter(
           g, {data_.data() + (k * channels_ + c) * tile_sq_, tile_sq_});
-    }
-  }
-  // Position-major mirror for the fused executor: same floats, re-ordered
-  // so the coordinate-e GEMM reads its C multiplicands contiguously.
-  pos_.resize(data_.size());
-  for (std::size_t k = 0; k < kernels_; ++k) {
-    for (std::size_t c = 0; c < channels_; ++c) {
-      const float* v_kc = data_.data() + (k * channels_ + c) * tile_sq_;
-      for (std::size_t e = 0; e < tile_sq_; ++e) {
-        pos_[(k * tile_sq_ + e) * channels_ + c] = v_kc[e];
-      }
     }
   }
 }
@@ -412,153 +408,174 @@ void scatter_tile(const LayoutConv& g, std::span<const float> acc_y,
   }
 }
 
-/// Decode flattened column index -> (img, th, tw).
-void decode_column(const LayoutConv& g, std::size_t col, std::size_t& img,
-                   std::size_t& th, std::size_t& tw) {
-  const std::size_t per_img = g.tiles_h * g.tiles_w;
-  img = col / per_img;
-  const std::size_t rem = col % per_img;
-  th = rem / g.tiles_w;
-  tw = rem % g.tiles_w;
-}
+/// Tile column position (img, th, tw), stepped in flattened column order:
+/// a walk decodes its first column once and advances through the rest,
+/// so neither the gather nor the per-kernel output pass divides.
+struct ColumnPos {
+  std::size_t img = 0, th = 0, tw = 0;
 
-/// Per-tile (unfused) walk over columns [col_begin, col_end): the original
-/// three-sweep executor, kept verbatim so both accumulation orders remain
-/// available and so a block size of 1 never pays blocked-copy overhead.
-void run_columns(const LayoutConv& g, const WinogradScratch& s,
-                 AccumulationOrder order, std::size_t col_begin,
-                 std::size_t col_end) {
-  const TileTransformer& xf = *g.xf;
-  const TransformedKernels& tk = *g.tk;
+  ColumnPos(const LayoutConv& g, std::size_t col) {
+    const std::size_t per_img = g.tiles_h * g.tiles_w;
+    img = col / per_img;
+    const std::size_t rem = col % per_img;
+    th = rem / g.tiles_w;
+    tw = rem % g.tiles_w;
+  }
+
+  void advance(const LayoutConv& g) {
+    if (++tw < g.tiles_w) return;
+    tw = 0;
+    if (++th < g.tiles_h) return;
+    th = 0;
+    ++img;
+  }
+};
+
+/// Register tile of the coordinate GEMM: kRegPos transform positions by
+/// kRegCols tile columns, kRegPos * kRegCols independent accumulators.
+constexpr std::size_t kRegCols = 8;
+constexpr std::size_t kRegPos = 4;
+
+/// One register tile of the transform-domain coordinate GEMM: P positions
+/// from e by kRegCols columns from t of kernel k, each partial sum held
+/// across the whole channel loop, landing in acc_blk[t][e]. Per channel
+/// the tile reads P adjacent rows of the bank and P adjacent values of
+/// V_kc. Kept out of line: inlined into walk_columns, gcc vectorises the
+/// tile across positions (the acc_blk stores are contiguous in e) and
+/// gathers every bank row with scalar loads, 1.3-1.5x slower.
+template <std::size_t P>
+[[gnu::noinline]] void coordinate_tile(const LayoutConv& g,
+                                       const WinogradScratch& s,
+                                       std::size_t block, std::size_t t,
+                                       std::size_t e, std::size_t k) {
   const std::size_t nsq = g.nsq;
-  const std::span<float> u_all = s.u_all;
-  const std::span<float> prod = s.prod;
-  const std::span<float> acc_m = s.acc_m;
-  const std::span<float> y = s.y;
-  const std::span<float> acc_y = s.acc_y;
-
-  for (std::size_t col = col_begin; col < col_end; ++col) {
-    std::size_t img = 0, th = 0, tw = 0;
-    decode_column(g, col, img, th, tw);
-    const Window w = make_window(g, th, tw);
-    if (g.in_tiled) build_gather_maps(g, s, w);
-
-    for (std::size_t c = 0; c < g.channels; ++c) {
-      gather_channel(g, s, w, img, c);
-      xf.transform_data(s.d, {u_all.data() + c * nsq, nsq});
+  float acc[P][kRegCols] = {};
+  const float* up = s.u_blk.data() + e * block + t;
+  const float* vp = g.tk->v(k, 0).data() + e;
+  for (std::size_t c = 0; c < g.channels;
+       ++c, up += nsq * block, vp += nsq) {
+    // Scalars first, then one contiguous row per position: the shape the
+    // vectoriser maps onto column vectors.
+    float vv[P];
+    for (std::size_t p = 0; p < P; ++p) vv[p] = vp[p];
+    for (std::size_t p = 0; p < P; ++p) {
+      const float* row = up + p * block;
+      for (std::size_t j = 0; j < kRegCols; ++j) acc[p][j] += row[j] * vv[p];
     }
-
-    // The accumulation-order branch is hoisted out of the channel loop
-    // (the baseline tests it per channel): same arithmetic in the same
-    // order, but the transform-domain inner loop — the hot path
-    // nn::forward uses — stays branch-free.
-    if (order == AccumulationOrder::kTransformDomain) {
-      for (std::size_t k = 0; k < g.kernel_count; ++k) {
-        std::fill(acc_m.begin(), acc_m.end(), 0.0F);
-        for (std::size_t c = 0; c < g.channels; ++c) {
-          const float* u = u_all.data() + c * nsq;
-          const auto v = tk.v(k, c);
-          for (std::size_t i = 0; i < nsq; ++i) acc_m[i] += u[i] * v[i];
-        }
-        xf.inverse(acc_m, acc_y);
-        scatter_tile(g, acc_y, img, k, th, tw);
-      }
-    } else {
-      for (std::size_t k = 0; k < g.kernel_count; ++k) {
-        std::fill(acc_y.begin(), acc_y.end(), 0.0F);
-        for (std::size_t c = 0; c < g.channels; ++c) {
-          const float* u = u_all.data() + c * nsq;
-          const auto v = tk.v(k, c);
-          for (std::size_t i = 0; i < nsq; ++i) prod[i] = u[i] * v[i];
-          xf.inverse(prod, y);
-          for (std::size_t i = 0; i < y.size(); ++i) acc_y[i] += y[i];
-        }
-        scatter_tile(g, acc_y, img, k, th, tw);
-      }
-    }
+  }
+  float* out = s.acc_blk.data() + t * nsq + e;
+  for (std::size_t j = 0; j < kRegCols; ++j) {
+    for (std::size_t p = 0; p < P; ++p) out[j * nsq + p] = acc[p][j];
   }
 }
 
-/// Fused tile-block pipeline over columns [col_begin, col_end), walked in
-/// blocks of `block_columns` (transform-domain accumulation only): gather
-/// and transform a block of columns into the [n^2][C][B] bank, run one
-/// register-accumulating coordinate GEMM per (kernel, position) restricted
-/// to the block's columns, then inverse-transform and scatter each column
-/// while the block is still cache-hot.
-///
-/// Bit-identity with run_columns holds per element: for every (kernel,
-/// column, position) the accumulator starts at 0 and adds u*v in strictly
-/// ascending channel order — the same float operations in the same order,
-/// only regrouped across *independent* columns. (This translation unit is
-/// built with -ffp-contract=off, so the compiler cannot contract the
-/// multiply-add differently in the two loops either.)
-void run_columns_fused(const LayoutConv& g, const WinogradScratch& s,
-                       std::size_t block_columns, std::size_t col_begin,
-                       std::size_t col_end) {
-  const TileTransformer& xf = *g.xf;
-  const TransformedKernels& tk = *g.tk;
+/// Transform-domain coordinate GEMM for kernel k over the block's first
+/// `full` columns (a multiple of kRegCols).
+void coordinate_gemm(const LayoutConv& g, const WinogradScratch& s,
+                     std::size_t block, std::size_t full, std::size_t k) {
+  for (std::size_t t = 0; t < full; t += kRegCols) {
+    std::size_t e = 0;
+    for (; e + kRegPos <= g.nsq; e += kRegPos) {
+      coordinate_tile<kRegPos>(g, s, block, t, e, k);
+    }
+    for (; e < g.nsq; ++e) coordinate_tile<1>(g, s, block, t, e, k);
+  }
+}
+
+/// One column of kernel k outside the register tiles. Transform domain:
+/// acc_blk[t][e] = sum over ascending c of U_c[e] * V_kc[e]. Post-inverse
+/// (the paper's Fig 7 accumulation buffers): acc_y = sum over ascending c
+/// of A^T (U_c . V_kc) A, with acc_m as the product tile. S fixes the
+/// bank's column stride B at compile time (0 reads `block`), so the
+/// one-column bank's contiguous loops vectorise.
+template <std::size_t S>
+void reduce_column(const LayoutConv& g, const WinogradScratch& s,
+                   AccumulationOrder order, std::size_t block, std::size_t t,
+                   std::size_t k) {
   const std::size_t nsq = g.nsq;
-  const std::size_t C = g.channels;
-  const std::size_t B = block_columns;
-  const std::span<float> u_blk = s.u_blk;
-  const std::span<float> acc_blk = s.acc_blk;
-  const std::span<float> acc_m = s.acc_m;  // staging + inverse gather tile
-  const std::span<float> acc_y = s.acc_y;
+  const std::size_t stride = S > 0 ? S : block;
+  const float* u = s.u_blk.data() + t;
+  if (order == AccumulationOrder::kTransformDomain) {
+    float* acc = s.acc_blk.data() + t * nsq;
+    std::fill(acc, acc + nsq, 0.0F);
+    for (std::size_t c = 0; c < g.channels; ++c, u += nsq * block) {
+      const float* v = g.tk->v(k, c).data();
+      for (std::size_t e = 0; e < nsq; ++e) acc[e] += u[e * stride] * v[e];
+    }
+    return;
+  }
+  std::fill(s.acc_y.begin(), s.acc_y.end(), 0.0F);
+  for (std::size_t c = 0; c < g.channels; ++c, u += nsq * block) {
+    const float* v = g.tk->v(k, c).data();
+    for (std::size_t e = 0; e < nsq; ++e) s.acc_m[e] = u[e * stride] * v[e];
+    g.xf->inverse(s.acc_m, s.y);
+    for (std::size_t i = 0; i < s.y.size(); ++i) s.acc_y[i] += s.y[i];
+  }
+}
 
-  for (std::size_t base = col_begin; base < col_end; base += B) {
-    const std::size_t bcols = std::min(B, col_end - base);
-
-    // Stage 1: gather + transform every column of the block into the
-    // blocked bank u_blk[(e*C + c)*B + t].
-    for (std::size_t t = 0; t < bcols; ++t) {
-      std::size_t img = 0, th = 0, tw = 0;
-      decode_column(g, base + t, img, th, tw);
-      const Window w = make_window(g, th, tw);
+/// The Winograd tile walk over columns [col_begin, col_end), in blocks of
+/// `block` columns (any B >= 1):
+///  1. gather and transform every column of the block into the bank
+///     u_blk[c][e][t] — the data transform is shared by all K kernels
+///     (Section IV-E);
+///  2. per kernel, reduce over channels — transform-domain: the register-
+///     tiled coordinate GEMM over full kRegCols-column tiles, then a
+///     per-position loop for the remaining columns; post-inverse: per
+///     column, inverse each channel's product and sum the outputs;
+///  3. inverse-transform (transform domain) and scatter each column while
+///     the block is still cache-hot.
+///
+/// Bit-identity with conv2d_winograd holds per element: every (kernel,
+/// column, position) chain starts at 0 and adds in strictly ascending
+/// channel order whatever the block size or a column's place in it — the
+/// same float operations in the same order, only regrouped across
+/// independent columns. (This translation unit is built with
+/// -ffp-contract=off, so the compiler cannot contract the multiply-add
+/// differently in the two loops either.) At B = 1 the walk is the
+/// per-tile loop of conv2d_winograd.
+void walk_columns(const LayoutConv& g, const WinogradScratch& s,
+                  AccumulationOrder order, std::size_t block,
+                  std::size_t col_begin, std::size_t col_end) {
+  const TileTransformer& xf = *g.xf;
+  const std::size_t nsq = g.nsq;
+  ColumnPos pos(g, col_begin);
+  for (std::size_t base = col_begin; base < col_end; base += block) {
+    const std::size_t bcols = std::min(block, col_end - base);
+    const ColumnPos first = pos;
+    for (std::size_t t = 0; t < bcols; ++t, pos.advance(g)) {
+      const Window w = make_window(g, pos.th, pos.tw);
       if (g.in_tiled) build_gather_maps(g, s, w);
-      for (std::size_t c = 0; c < C; ++c) {
-        gather_channel(g, s, w, img, c);
-        xf.transform_data(s.d, acc_m);
-        float* lane = u_blk.data() + c * B + t;
-        for (std::size_t e = 0; e < nsq; ++e) lane[e * C * B] = acc_m[e];
+      for (std::size_t c = 0; c < g.channels; ++c) {
+        gather_channel(g, s, w, pos.img, c);
+        if (block == 1) {
+          xf.transform_data(s.d, s.u_blk.subspan(c * nsq, nsq));
+          continue;
+        }
+        xf.transform_data(s.d, s.acc_m);
+        float* lane = s.u_blk.data() + c * nsq * block + t;
+        for (std::size_t e = 0; e < nsq; ++e) lane[e * block] = s.acc_m[e];
       }
     }
 
+    const std::size_t full =
+        order == AccumulationOrder::kTransformDomain
+            ? bcols / kRegCols * kRegCols
+            : 0;
     for (std::size_t k = 0; k < g.kernel_count; ++k) {
-      // Stage 2: per-position coordinate GEMMs over the block's columns.
-      // The t-register tile holds its partial sums across the whole
-      // channel loop — one load per multiply-add instead of the per-tile
-      // path's load-v/load-acc/store-acc triple.
-      constexpr std::size_t kRegCols = 8;
-      for (std::size_t e = 0; e < nsq; ++e) {
-        const float* vp = tk.v_pos(k, e).data();
-        const float* ue = u_blk.data() + e * C * B;
-        float* accrow = acc_blk.data() + e * B;
-        std::size_t t = 0;
-        for (; t + kRegCols <= bcols; t += kRegCols) {
-          float acc[kRegCols] = {};
-          for (std::size_t c = 0; c < C; ++c) {
-            const float vv = vp[c];
-            const float* up = ue + c * B + t;
-            for (std::size_t j = 0; j < kRegCols; ++j) {
-              acc[j] += up[j] * vv;
-            }
+      if (full > 0) coordinate_gemm(g, s, block, full, k);
+      ColumnPos at = first;
+      for (std::size_t t = 0; t < bcols; ++t, at.advance(g)) {
+        if (t >= full) {
+          if (block == 1) {
+            reduce_column<1>(g, s, order, block, t, k);
+          } else {
+            reduce_column<0>(g, s, order, block, t, k);
           }
-          for (std::size_t j = 0; j < kRegCols; ++j) accrow[t + j] = acc[j];
         }
-        for (; t < bcols; ++t) {
-          float a = 0.0F;
-          for (std::size_t c = 0; c < C; ++c) a += ue[c * B + t] * vp[c];
-          accrow[t] = a;
+        if (order == AccumulationOrder::kTransformDomain) {
+          xf.inverse(s.acc_blk.subspan(t * nsq, nsq), s.acc_y);
         }
-      }
-
-      // Stage 3: inverse transform + (fused ReLU) scatter per column.
-      for (std::size_t t = 0; t < bcols; ++t) {
-        std::size_t img = 0, th = 0, tw = 0;
-        decode_column(g, base + t, img, th, tw);
-        for (std::size_t e = 0; e < nsq; ++e) acc_m[e] = acc_blk[e * B + t];
-        xf.inverse(acc_m, acc_y);
-        scatter_tile(g, acc_y, img, k, th, tw);
+        scatter_tile(g, s.acc_y, at.img, k, at.th, at.tw);
       }
     }
   }
@@ -644,42 +661,18 @@ LayoutConv make_layout_conv(const tensor::Layout& il,
   return g;
 }
 
-/// Validate the scratch against the geometry; returns the fused block size
-/// (>= 2) when the blocked spans engage the fused pipeline, 0 otherwise.
-std::size_t validate_scratch(const LayoutConv& g, AccumulationOrder order,
-                             const WinogradScratch& s) {
+/// Validate the scratch against the geometry; returns its block size B.
+std::size_t validate_scratch(const LayoutConv& g, const WinogradScratch& s) {
   const std::size_t nsq = g.nsq;
   const std::size_t mm = g.mm;
-  if (s.d.size() != nsq || s.acc_m.size() != nsq ||
+  const std::size_t block = s.acc_blk.size() / nsq;
+  if (s.d.size() != nsq || block == 0 || s.acc_blk.size() != block * nsq ||
+      s.u_blk.size() != g.channels * nsq * block || s.acc_m.size() != nsq ||
       s.y.size() != mm * mm || s.acc_y.size() != mm * mm ||
       s.row_tile.size() != g.n || s.row_in.size() != g.n ||
       s.col_off.size() != g.n) {
     throw std::invalid_argument(
         "conv2d_winograd_layout: scratch size mismatch");
-  }
-  if (s.u_blk.empty()) {
-    if (s.u_all.size() != g.channels * nsq || s.prod.size() != nsq) {
-      throw std::invalid_argument(
-          "conv2d_winograd_layout: scratch size mismatch");
-    }
-    return 0;
-  }
-  const std::size_t per_col = g.channels * nsq;
-  const std::size_t block = s.u_blk.size() / per_col;
-  if (block < 2 || s.u_blk.size() != block * per_col ||
-      s.acc_blk.size() != block * nsq) {
-    throw std::invalid_argument(
-        "conv2d_winograd_layout: blocked scratch size mismatch");
-  }
-  if (order != AccumulationOrder::kTransformDomain) {
-    throw std::invalid_argument(
-        "conv2d_winograd_layout: fused blocks require transform-domain "
-        "accumulation");
-  }
-  if (!s.u_all.empty() || !s.prod.empty()) {
-    throw std::invalid_argument(
-        "conv2d_winograd_layout: blocked scratch must not carry the "
-        "per-tile bank");
   }
   return block;
 }
@@ -692,34 +685,23 @@ struct OwnedScratch {
 };
 
 OwnedScratch make_owned_scratch(std::size_t channels, std::size_t n,
-                                std::size_t mm, std::size_t block_columns) {
+                                std::size_t mm, std::size_t block) {
   const std::size_t nsq = n * n;
   OwnedScratch o;
-  const std::size_t bank = block_columns > 1
-                               ? channels * nsq * block_columns + /*acc_blk*/
-                                     nsq * block_columns
-                               : channels * nsq + /*prod*/ nsq;
-  o.f.resize(nsq + bank + nsq + mm * mm + mm * mm);
+  o.f.resize(nsq + (channels + 1) * nsq * block + nsq + 2 * mm * mm);
   o.idx.resize(3 * n);
   float* f = o.f.data();
-  o.s.d = {f, nsq};
-  f += nsq;
-  if (block_columns > 1) {
-    o.s.u_blk = {f, channels * nsq * block_columns};
-    f += channels * nsq * block_columns;
-    o.s.acc_blk = {f, nsq * block_columns};
-    f += nsq * block_columns;
-  } else {
-    o.s.u_all = {f, channels * nsq};
-    f += channels * nsq;
-    o.s.prod = {f, nsq};
-    f += nsq;
-  }
-  o.s.acc_m = {f, nsq};
-  f += nsq;
-  o.s.y = {f, mm * mm};
-  f += mm * mm;
-  o.s.acc_y = {f, mm * mm};
+  const auto take = [&f](std::size_t count) {
+    const std::span<float> span{f, count};
+    f += count;
+    return span;
+  };
+  o.s.d = take(nsq);
+  o.s.u_blk = take(channels * nsq * block);
+  o.s.acc_blk = take(nsq * block);
+  o.s.acc_m = take(nsq);
+  o.s.y = take(mm * mm);
+  o.s.acc_y = take(mm * mm);
   o.s.row_tile = {o.idx.data(), n};
   o.s.row_in = {o.idx.data() + n, n};
   o.s.col_off = {o.idx.data() + 2 * n, n};
@@ -738,12 +720,8 @@ void conv2d_winograd_layout_into(const tensor::Layout& il,
                                  const WinogradScratch& scratch) {
   const LayoutConv g =
       make_layout_conv(il, in, tk, xf, opt, ol, out, fuse_relu);
-  const std::size_t block = validate_scratch(g, opt.accumulation, scratch);
-  if (block >= 2) {
-    run_columns_fused(g, scratch, block, 0, g.columns());
-  } else {
-    run_columns(g, scratch, opt.accumulation, 0, g.columns());
-  }
+  const std::size_t block = validate_scratch(g, scratch);
+  walk_columns(g, scratch, opt.accumulation, block, 0, g.columns());
 }
 
 tensor::PackedActivation conv2d_winograd_layout(
@@ -782,24 +760,14 @@ tensor::PackedActivation conv2d_winograd_layout(
       make_layout_conv(il, input.data, tk, xf, opt, ol, out.data, fuse_relu);
   const auto n = static_cast<std::size_t>(xf.tile());
 
-  // Fused cache-blocked pipeline for the hot accumulation order; the
-  // block loop is what the ThreadPool splits — every worker chunk owns a
-  // private scratch and a contiguous column range, and per-column
+  // The block loop is what the ThreadPool splits — every worker chunk owns
+  // a private scratch and a contiguous column range, and per-column
   // arithmetic is independent of both the chunking and the block
   // boundaries, so any thread count produces the same bytes.
-  std::size_t block =
-      opt.accumulation == AccumulationOrder::kTransformDomain
-          ? std::min(fused_block_columns(is.c, n, kFusedCacheBudgetBytes),
-                     std::max<std::size_t>(1, g.columns()))
-          : 1;
-  if (block < kFusedMinBlockColumns) block = 1;  // all-scalar-tail: slower
+  const std::size_t block = default_block_columns(is.c, n, g.columns());
   runtime::parallel_for(g.columns(), [&](std::size_t begin, std::size_t end) {
     const OwnedScratch o = make_owned_scratch(is.c, n, mm, block);
-    if (block >= 2) {
-      run_columns_fused(g, o.s, block, begin, end);
-    } else {
-      run_columns(g, o.s, opt.accumulation, begin, end);
-    }
+    walk_columns(g, o.s, opt.accumulation, block, begin, end);
   });
   return out;
 }

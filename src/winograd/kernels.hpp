@@ -47,15 +47,23 @@ inline constexpr std::size_t kFusedCacheBudgetBytes = 768u << 10;
 /// this, so wrapper, planner, and bench inherit one ceiling.
 inline constexpr std::size_t kFusedMaxBlockColumns = 16;
 
-/// Narrowest block worth fusing: the width of the coordinate GEMM's
-/// column register tile. Below this every column lands in the scalar
-/// tail and the blocked walk is strictly slower than the per-tile one
-/// (measured in bench/fused_pipeline.cpp), so the allocating wrapper and
-/// the memory planner fall back to the per-tile executor rather than
-/// engage a sub-register-width block. conv2d_winograd_layout_into still
-/// accepts any B >= 2 — correctness does not depend on the width, only
-/// selection does.
+/// Narrowest multi-column block worth walking: the width of the coordinate
+/// GEMM's column register tile. Columns outside a full register tile take
+/// the per-position tail loop, which is unit-stride only at B = 1, so a
+/// block with no full tile runs slower than B = 1 (measured in
+/// bench/fused_pipeline.cpp). The memory planner and
+/// default_block_columns therefore pick B = 1 or B >= this;
+/// conv2d_winograd_layout_into accepts any B >= 1 — correctness does not
+/// depend on the width, only speed does.
 inline constexpr std::size_t kFusedMinBlockColumns = 8;
+
+/// Block size for a walk over `columns` tile columns that no memory plan
+/// sized (the allocating wrappers): fused_block_columns' cache-budget
+/// width capped by the column supply, or 1 when that leaves no full
+/// register tile (see kFusedMinBlockColumns).
+[[nodiscard]] std::size_t default_block_columns(std::size_t channels,
+                                                std::size_t tile,
+                                                std::size_t columns);
 
 /// Where the reduction over input channels is performed.
 enum class AccumulationOrder {
@@ -126,14 +134,6 @@ class TransformedKernels {
   [[nodiscard]] std::span<const float> v(std::size_t k, std::size_t c) const {
     return {data_.data() + (k * channels_ + c) * tile_sq_, tile_sq_};
   }
-  /// Position-major view of the same values: all C channels of transform
-  /// coordinate e for kernel k, contiguous in c. The fused block executor's
-  /// coordinate GEMM streams this once per block (one scalar broadcast per
-  /// channel) instead of re-reading the [k][c][n*n] bank once per tile.
-  [[nodiscard]] std::span<const float> v_pos(std::size_t k,
-                                             std::size_t e) const {
-    return {pos_.data() + (k * tile_sq_ + e) * channels_, channels_};
-  }
   [[nodiscard]] std::size_t kernel_count() const { return kernels_; }
   [[nodiscard]] std::size_t channels() const { return channels_; }
   /// Floats per transformed tile, (m+r-1)^2 for the transformer that
@@ -145,7 +145,6 @@ class TransformedKernels {
   std::size_t channels_ = 0;
   std::size_t tile_sq_ = 0;
   std::vector<float> data_;  ///< [k][c][n*n]
-  std::vector<float> pos_;   ///< [k][n*n][c], same values re-ordered
 };
 
 /// Convolve an NCHW input with a KCrr kernel bank using F(m x m, r x r),
@@ -189,8 +188,8 @@ tensor::Tensor4f conv2d_winograd(const tensor::Tensor4f& input,
 /// the activations (pinned by tests/nn_forward_test.cpp and
 /// tests/tensor_layout_test.cpp).
 ///
-/// This wrapper runs the fused tile-block pipeline (see WinogradScratch)
-/// with a cache-budget block size, and threads the *block loop* across the
+/// This wrapper runs the tile walk with default_block_columns' block size
+/// (see WinogradScratch), and threads the *block loop* across the
 /// deterministic ThreadPool: each worker owns a private scratch and a
 /// contiguous range of tile columns. Every (kernel, column, position)
 /// accumulator chain is confined to one column, so the result is
@@ -202,25 +201,16 @@ tensor::PackedActivation conv2d_winograd_layout(
     tensor::LayoutKind out_kind, bool fuse_relu);
 
 /// Caller-provided scratch for conv2d_winograd_layout_into: the data tile
-/// d, the accumulation tiles, and the tile-form gather maps. Carved out of
-/// a workspace slab by nn::carve_winograd_scratch, which is also the
-/// single definition of each span's extent.
-///
-/// Two mutually exclusive executor modes share this struct:
-///  - per-tile (unfused): u_all and prod are populated, u_blk/acc_blk are
-///    empty — one tile column at a time, either accumulation order;
-///  - fused tile-block pipeline: u_blk holds B tile columns of transformed
-///    data laid out [n*n][C][B] and acc_blk the matching [n*n][B]
-///    accumulators (B = u_blk.size() / (C * n*n) >= 2, transform-domain
-///    accumulation only) — u_all and prod must then be empty, and acc_m
-///    doubles as the per-column transform staging / inverse gather tile.
+/// d, the transform bank of one block of B tile columns, the accumulation
+/// tiles, and the tile-form gather maps. Carved out of a workspace slab by
+/// nn::carve_winograd_scratch, which is also the single definition of each
+/// span's extent. The block size is B = acc_blk.size() / (n*n) >= 1; at
+/// B = 1 the scratch is one column's bank plus one accumulator tile.
 struct WinogradScratch {
   std::span<float> d;        ///< n*n gathered input tile
-  std::span<float> u_all;    ///< C * n*n transformed data tiles (unfused)
-  std::span<float> prod;     ///< n*n elementwise product (post-inverse)
-  std::span<float> u_blk;    ///< [n*n][C][B] blocked transform bank (fused)
-  std::span<float> acc_blk;  ///< [n*n][B] blocked accumulators (fused)
-  std::span<float> acc_m;    ///< n*n transform-domain accumulator / staging
+  std::span<float> u_blk;    ///< [C][n*n][B] transformed data bank
+  std::span<float> acc_blk;  ///< [B][n*n] transform-domain accumulators
+  std::span<float> acc_m;    ///< n*n transform staging / post-inverse product
   std::span<float> y;        ///< m*m inverse-transformed tile
   std::span<float> acc_y;    ///< m*m output-domain accumulator
   std::span<std::size_t> row_tile;  ///< tile-form gather: source tile row
@@ -237,9 +227,10 @@ struct WinogradScratch {
 /// the allocating conv2d_winograd_layout wrapper delegates here, so the
 /// two entry points cannot diverge numerically.
 ///
-/// The scratch selects the executor (see WinogradScratch): blocked spans
-/// engage the fused tile-block pipeline, which walks the caller's columns
-/// sequentially in B-sized blocks. It deliberately does not spawn its own
+/// The scratch's block size B (see WinogradScratch) sets how many tile
+/// columns share one gather/transform pass; both accumulation orders run
+/// at any B >= 1. The walk visits the caller's columns sequentially in
+/// B-sized blocks. It deliberately does not spawn its own
 /// parallel_for — the hot caller (nn/forward.cpp) already fans out across
 /// images above this call with exactly one carved scratch per workspace,
 /// so intra-call threading belongs to the allocating wrapper, which owns

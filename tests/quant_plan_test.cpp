@@ -451,6 +451,56 @@ TEST(Planner, CalibrationRecordsPerConvLayerStats) {
   }
 }
 
+TEST(Planner, CalibrationSkipsNonFiniteSamples) {
+  std::vector<LayerSpec> layers(2);
+  layers[0].kind = LayerKind::kConv;
+  layers[0].conv = conv_spec(8, 3, 8);
+  layers[1].kind = LayerKind::kConv;
+  layers[1].conv = conv_spec(8, 8, 8);
+  const WeightBank weights = random_weights(layers, 21);
+  Rng rng(22);
+  Tensor4f sample(1, 3, 8, 8);
+  rng.fill_uniform(sample.flat(), -1.0F, 1.0F);
+  sample(0, 1, 2, 3) = std::numeric_limits<float>::infinity();
+  sample(0, 2, 5, 6) = std::numeric_limits<float>::quiet_NaN();
+
+  // The first layer's stats are exactly those of the finite values.
+  double max_abs = 0;
+  double sum_sq = 0;
+  std::size_t finite = 0;
+  for (const float v : sample.flat()) {
+    if (!std::isfinite(v)) continue;
+    max_abs = std::max(max_abs, std::abs(static_cast<double>(v)));
+    sum_sq += static_cast<double>(v) * static_cast<double>(v);
+    ++finite;
+  }
+  const QuantCalibration cal = calibrate_activations(layers, weights, sample);
+  ASSERT_EQ(cal.conv_inputs.size(), 2u);
+  EXPECT_EQ(cal.conv_inputs[0].max_abs, max_abs);
+  EXPECT_EQ(cal.conv_inputs[0].rms,
+            std::sqrt(sum_sq / static_cast<double>(finite)));
+  // Downstream layers see the Inf spread by the convolution; their stats
+  // stay finite too.
+  for (const LayerActivationStats& st : cal.conv_inputs) {
+    EXPECT_TRUE(std::isfinite(st.max_abs));
+    EXPECT_TRUE(std::isfinite(st.rms));
+    EXPECT_GT(st.max_abs, 0.0);
+  }
+
+  // The planner then attaches a finite static scale and prices int8.
+  PlannerOptions opts;
+  opts.calibration = default_calibration();
+  opts.quant = cal;
+  opts.candidates = {ConvAlgo::kInt8Im2col};
+  opts.constraints.max_rel_error = 1.0;
+  const ExecutionPlan plan = plan_execution(layers, opts);
+  for (const LayerPlan& step : plan.steps) {
+    EXPECT_TRUE(std::isfinite(step.act_scale));
+    EXPECT_GT(step.act_scale, 0.0F);
+  }
+  EXPECT_TRUE(std::isfinite(plan.predicted_max_rel_error));
+}
+
 TEST(Planner, ErrorBudgetDemotionChain) {
   // One conv layer, analytic scoring, candidates spanning the precision
   // ladder. As the budget tightens through the predicted-error midpoints

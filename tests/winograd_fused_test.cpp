@@ -1,14 +1,19 @@
-// Fused tile-block pipeline contract (the cache-resident Winograd
-// executor): the blocked scratch engages a gather -> coordinate-GEMM ->
-// inverse pipeline that must stay BIT-identical to the per-tile walk —
-// same per-element accumulation chains, only regrouped across independent
-// tile columns — at every tile edge, ragged shape, batch size, thread
-// count and block boundary placement, in fp32 and int8 forms. Also pins
-// the planner side: peak-neutral block sizing (fused scratch never grows
-// the slab high-water mark) and the per-model batch ceiling the serving
-// layer clamps assembly to.
+// Winograd tile walk contract: the one executor walks tile columns in
+// blocks of any size B >= 1 (gather -> coordinate GEMM or per-position
+// reduction -> inverse) and must stay BIT-identical to the NCHW reference
+// conv2d_winograd — same per-element accumulation chains, only regrouped
+// across independent tile columns — at every block size, accumulation
+// order, tile edge, ragged shape, layout pairing, batch size and thread
+// count; the int8 form is pinned against a golden per-tile formulation.
+// Also pins the planner side: peak-neutral block sizing (block scratch
+// never grows the slab high-water mark) and the per-model batch ceiling
+// the serving layer clamps assembly to.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <future>
 #include <vector>
@@ -55,50 +60,29 @@ bool bit_identical(const Tensor4f& a, const Tensor4f& b) {
                      a.size() * sizeof(float)) == 0;
 }
 
-/// Heap-backed WinogradScratch in either executor mode: block == 0 builds
-/// the per-tile spans (u_all/prod), block >= 2 the fused blocked bank
-/// (u_blk/acc_blk) — the same extents nn::carve_winograd_scratch hands out.
-struct OwnedScratch {
-  std::vector<float> f;
-  std::vector<std::size_t> idx;
+/// Scratch for one walk at block size `block`, carved by
+/// nn::carve_winograd_scratch over a heap byte buffer — the extents the
+/// planned slab hands the executor.
+struct CarvedScratch {
+  std::vector<std::byte> bytes;
   WinogradScratch s;
 };
 
-OwnedScratch make_scratch(std::size_t channels, std::size_t n,
-                          std::size_t mm, std::size_t block) {
-  const std::size_t nsq = n * n;
-  const std::size_t bank =
-      block >= 2 ? channels * nsq * block + nsq * block : channels * nsq + nsq;
-  OwnedScratch o;
-  o.f.resize(nsq + bank + nsq + 2 * mm * mm);
-  o.idx.resize(3 * n);
-  float* f = o.f.data();
-  o.s.d = {f, nsq};
-  f += nsq;
-  if (block >= 2) {
-    o.s.u_blk = {f, channels * nsq * block};
-    f += channels * nsq * block;
-    o.s.acc_blk = {f, nsq * block};
-    f += nsq * block;
-  } else {
-    o.s.u_all = {f, channels * nsq};
-    f += channels * nsq;
-    o.s.prod = {f, nsq};
-    f += nsq;
-  }
-  o.s.acc_m = {f, nsq};
-  f += nsq;
-  o.s.y = {f, mm * mm};
-  f += mm * mm;
-  o.s.acc_y = {f, mm * mm};
-  o.s.row_tile = {o.idx.data(), n};
-  o.s.row_in = {o.idx.data() + n, n};
-  o.s.col_off = {o.idx.data() + 2 * n, n};
+CarvedScratch carve_scratch(std::size_t channels, const TileTransformer& xf,
+                            std::size_t block) {
+  const auto n = static_cast<std::size_t>(xf.tile());
+  const auto mm = static_cast<std::size_t>(xf.m());
+  wino::nn::ByteCarver measure;
+  (void)wino::nn::carve_winograd_scratch(measure, channels, n, mm, block);
+  CarvedScratch o;
+  o.bytes.resize(measure.used());
+  wino::nn::ByteCarver carver(o.bytes);
+  o.s = wino::nn::carve_winograd_scratch(carver, channels, n, mm, block);
   return o;
 }
 
 // -------------------------------------------------------------------------
-// Fused wrapper vs the independent per-tile reference implementation
+// Allocating wrapper vs the independent NCHW reference implementation
 // -------------------------------------------------------------------------
 
 TEST(FusedPipeline, WrapperBitIdenticalToPerTileReferenceEverywhere) {
@@ -133,118 +117,202 @@ TEST(FusedPipeline, WrapperBitIdenticalToPerTileReferenceEverywhere) {
 }
 
 // -------------------------------------------------------------------------
-// Blocked vs legacy scratch through the allocation-free entry point
+// Every block size, both accumulation orders, every layout pairing
 // -------------------------------------------------------------------------
 
-TEST(FusedPipeline, BlockedScratchBitIdenticalToLegacyScratch) {
-  // 7x9 at m=2, pad 1 -> 4x5 = 20 tile columns per image; B in {2, 3, 8}
-  // exercises exact division, a ragged final block and B > remaining.
-  const TileTransformer xf(transforms(2, 3));
-  const std::size_t n = static_cast<std::size_t>(xf.tile());
-  Rng rng(7);
-  const Tensor4f input = random_tensor(2, 3, 7, 9, rng);
-  const Tensor4f kernels = random_tensor(4, 3, 3, 3, rng);
-  const TransformedKernels tk(xf, kernels);
-  WinogradConvOptions opt;
-  opt.pad = 1;
-  const Layout il = Layout::nchw(input.shape());
-  const Layout ol = Layout::nchw({2, 4, 7, 9});
+Tensor4f relu_of(Tensor4f t) {
+  for (float& v : t.flat()) v = v > 0.0F ? v : 0.0F;
+  return t;
+}
 
-  for (const bool relu : {false, true}) {
-    std::vector<float> legacy(ol.volume());
-    OwnedScratch ls = make_scratch(3, n, 2, 0);
-    conv2d_winograd_layout_into(il, input.flat(), tk, xf, opt, ol, legacy,
-                                relu, ls.s);
-    for (const std::size_t block : {2u, 3u, 8u}) {
-      std::vector<float> blocked(ol.volume(), -1.0F);
-      OwnedScratch bs = make_scratch(3, n, 2, block);
-      conv2d_winograd_layout_into(il, input.flat(), tk, xf, opt, ol, blocked,
-                                  relu, bs.s);
-      EXPECT_EQ(std::memcmp(blocked.data(), legacy.data(),
-                            legacy.size() * sizeof(float)),
-                0)
-          << "B=" << block << " relu=" << relu;
+TEST(TileWalk, EveryBlockSizeBitIdenticalToReference) {
+  using wino::tensor::PackedActivation;
+  struct Case {
+    int m;
+    std::size_t h, w;
+  };
+  // 7x9 at m = 2 gives 2 x 20 tile columns, 9x7 at m = 4 gives 2 x 6: the
+  // block sizes cover B = 1, blocks with no full register tile, exact
+  // register tiles, register tiles plus a tail, ragged final blocks and
+  // B larger than the column supply.
+  const Case cases[] = {{2, 7, 9}, {4, 9, 7}};
+  const std::size_t blocks[] = {1, 2, 3, 7, 8, 9, 16};
+  Rng rng(7);
+  for (const Case& cs : cases) {
+    const TileTransformer xf(transforms(cs.m, 3));
+    const auto mm = static_cast<std::size_t>(cs.m);
+    const Tensor4f input = random_tensor(2, 3, cs.h, cs.w, rng);
+    const Tensor4f kernels = random_tensor(4, 3, 3, 3, rng);
+    const TransformedKernels tk(xf, kernels);
+    const wino::tensor::Shape4 out_shape{2, 4, cs.h, cs.w};
+    for (const AccumulationOrder order :
+         {AccumulationOrder::kTransformDomain,
+          AccumulationOrder::kPostInverse}) {
+      WinogradConvOptions opt;
+      opt.pad = 1;
+      opt.accumulation = order;
+      const Tensor4f want = conv2d_winograd(input, tk, xf, opt);
+      const Tensor4f want_relu = relu_of(want);
+      for (const bool in_tiled : {false, true}) {
+        // A producer tile edge other than m exercises the gather maps.
+        const Layout il = in_tiled ? Layout::winograd_tile(input.shape(), 3)
+                                   : Layout::nchw(input.shape());
+        const PackedActivation in = wino::tensor::pack(input, il);
+        for (const bool out_tiled : {false, true}) {
+          const Layout ol = out_tiled ? Layout::winograd_tile(out_shape, mm)
+                                      : Layout::nchw(out_shape);
+          for (const bool relu : {false, true}) {
+            for (const std::size_t block : blocks) {
+              const CarvedScratch sc = carve_scratch(3, xf, block);
+              PackedActivation got{ol, std::vector<float>(ol.volume(), -1.0F)};
+              conv2d_winograd_layout_into(il, in.data, tk, xf, opt, ol,
+                                          got.data, relu, sc.s);
+              EXPECT_TRUE(bit_identical(wino::tensor::unpack(got),
+                                        relu ? want_relu : want))
+                  << "m=" << cs.m << " post_inverse="
+                  << (order == AccumulationOrder::kPostInverse)
+                  << " in_tiled=" << in_tiled << " out_tiled=" << out_tiled
+                  << " relu=" << relu << " B=" << block;
+            }
+          }
+        }
+      }
     }
   }
 }
 
-TEST(FusedPipeline, BlockedScratchRejectsPostInverseAccumulation) {
+TEST(TileWalk, RejectsScratchWithoutAColumnOrWithMismatchedBanks) {
   const TileTransformer xf(transforms(2, 3));
-  const std::size_t n = static_cast<std::size_t>(xf.tile());
   const Tensor4f input(1, 2, 6, 6, 0.5F);
   const Tensor4f kernels(1, 2, 3, 3, 0.25F);
   const TransformedKernels tk(xf, kernels);
   WinogradConvOptions opt;
   opt.pad = 1;
-  opt.accumulation = AccumulationOrder::kPostInverse;
   const Layout il = Layout::nchw(input.shape());
   const Layout ol = Layout::nchw({1, 1, 6, 6});
   std::vector<float> out(ol.volume());
-  OwnedScratch bs = make_scratch(2, n, 2, 4);
+  const CarvedScratch empty = carve_scratch(2, xf, 0);
   EXPECT_THROW(conv2d_winograd_layout_into(il, input.flat(), tk, xf, opt, ol,
-                                           out, false, bs.s),
+                                           out, false, empty.s),
+               std::invalid_argument);
+  CarvedScratch mixed = carve_scratch(2, xf, 4);
+  mixed.s.acc_blk = mixed.s.acc_blk.first(2 * xf.tile() * xf.tile());
+  EXPECT_THROW(conv2d_winograd_layout_into(il, input.flat(), tk, xf, opt, ol,
+                                           out, false, mixed.s),
                std::invalid_argument);
 }
 
 // -------------------------------------------------------------------------
-// Int8 Winograd form: blocked vs per-tile walk
+// Int8 Winograd form: every block size vs a golden per-tile walk
 // -------------------------------------------------------------------------
 
-TEST(FusedPipeline, Int8BlockedScratchBitIdenticalToLegacy) {
+std::int8_t golden_quantize(float v, float inv) {
+  const float q = std::nearbyint(v * inv);
+  return static_cast<std::int8_t>(std::clamp(q, -127.0F, 127.0F));
+}
+
+/// Golden per-tile formulation of quant::conv2d_winograd_int8_into for
+/// finite inputs: per tile, fp32 transforms of every channel, one scale per
+/// position from the largest |U| across channels, nearbyint quantization,
+/// the int32 channel sum per position, per-position dequantization, fp32
+/// inverse and clipped scatter. The production walk regroups the same
+/// per-tile arithmetic into blocks of tile columns.
+std::vector<float> golden_winograd_int8(
+    const Tensor4f& input, const wino::quant::QuantizedWinogradKernels& qk,
+    const TileTransformer& xf, int pad, bool relu) {
+  const auto& is = input.shape();
+  const auto m = static_cast<std::size_t>(xf.m());
+  const auto n = static_cast<std::size_t>(xf.tile());
+  const std::size_t nsq = n * n;
+  const std::size_t oh = is.h + 2 * static_cast<std::size_t>(pad) - 2;
+  const std::size_t ow = is.w + 2 * static_cast<std::size_t>(pad) - 2;
+  std::vector<float> d(nsq), u(is.c * nsq), sv(nsq), m_f(nsq), y(m * m);
+  std::vector<std::int8_t> uq(is.c * nsq);
+  std::vector<float> out(is.n * qk.kernels * oh * ow);
+  for (std::size_t img = 0; img < is.n; ++img) {
+    for (std::size_t ty = 0; ty * m < oh; ++ty) {
+      for (std::size_t tx = 0; tx * m < ow; ++tx) {
+        const auto y0 = static_cast<std::ptrdiff_t>(ty * m) - pad;
+        const auto x0 = static_cast<std::ptrdiff_t>(tx * m) - pad;
+        for (std::size_t c = 0; c < is.c; ++c) {
+          for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+              d[i * n + j] =
+                  input.padded(img, c, y0 + static_cast<std::ptrdiff_t>(i),
+                               x0 + static_cast<std::ptrdiff_t>(j));
+            }
+          }
+          xf.transform_data(d, std::span(u).subspan(c * nsq, nsq));
+        }
+        for (std::size_t i = 0; i < nsq; ++i) {
+          float pos_max = 0.0F;
+          for (std::size_t c = 0; c < is.c; ++c) {
+            pos_max = std::max(pos_max, std::abs(u[c * nsq + i]));
+          }
+          sv[i] = pos_max / 127.0F;
+          const float inv = pos_max > 0.0F ? 127.0F / pos_max : 0.0F;
+          for (std::size_t c = 0; c < is.c; ++c) {
+            uq[c * nsq + i] = golden_quantize(u[c * nsq + i], inv);
+          }
+        }
+        for (std::size_t k = 0; k < qk.kernels; ++k) {
+          for (std::size_t i = 0; i < nsq; ++i) {
+            std::int32_t acc = 0;
+            for (std::size_t c = 0; c < is.c; ++c) {
+              acc += std::int32_t{uq[c * nsq + i]} *
+                     std::int32_t{qk.data[(k * is.c + c) * nsq + i]};
+            }
+            m_f[i] = static_cast<float>(acc) * (qk.scale[k * nsq + i] * sv[i]);
+          }
+          xf.inverse(m_f, y);
+          for (std::size_t i = 0; i < m && ty * m + i < oh; ++i) {
+            for (std::size_t j = 0; j < m && tx * m + j < ow; ++j) {
+              float v = y[i * m + j];
+              if (relu && v < 0.0F) v = 0.0F;
+              out[((img * qk.kernels + k) * oh + ty * m + i) * ow + tx * m +
+                  j] = v;
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(TileWalk, Int8EveryBlockSizeBitIdenticalToGoldenPerTileWalk) {
   using wino::quant::conv2d_winograd_int8_into;
   using wino::quant::QuantWinogradScratch;
   for (const int m : {2, 4}) {
     const TileTransformer xf(transforms(m, 3));
-    const std::size_t n = static_cast<std::size_t>(xf.tile());
-    const std::size_t nsq = n * n;
+    const auto n = static_cast<std::size_t>(xf.tile());
     const auto mm = static_cast<std::size_t>(m);
     Rng rng(100 + m);
-    const Tensor4f input = random_tensor(2, 3, 9, 7, rng);
-    const Tensor4f kernels = random_tensor(4, 3, 3, 3, rng);
+    const Tensor4f input = random_tensor(2, 5, 9, 7, rng);
+    const Tensor4f kernels = random_tensor(4, 5, 3, 3, rng);
     const auto qk = wino::quant::quantize_winograd_kernels(xf, kernels);
     const wino::tensor::Tensor4fView view(input.shape(), input.flat());
-    const std::size_t out_elems = 2 * 4 * 9 * 7;
-
+    // The allocating wrapper runs the same walk at its own block size.
+    const std::vector<float> plain = golden_winograd_int8(input, qk, xf, 1,
+                                                          false);
+    const Tensor4f wrapped = wino::quant::conv2d_winograd_int8(input, qk, xf,
+                                                               1);
+    EXPECT_EQ(std::memcmp(wrapped.flat().data(), plain.data(),
+                          plain.size() * sizeof(float)),
+              0)
+        << "m=" << m << " allocating wrapper";
     for (const bool relu : {false, true}) {
-      std::vector<float> want(out_elems);
-      {
-        std::vector<float> f(nsq + 3 * nsq + nsq + nsq + nsq + mm * mm);
-        std::vector<std::int8_t> q(3 * nsq);
-        std::vector<std::int32_t> a(nsq);
-        float* p = f.data();
-        QuantWinogradScratch s;
-        s.d = {p, nsq};
-        p += nsq;
-        s.u_all = {p, 3 * nsq};
-        p += 3 * nsq;
-        s.sv = {p, nsq};
-        p += nsq;
-        s.m_f = {p, nsq};
-        p += nsq;
-        s.y = {p, mm * mm};
-        s.uq_all = {q.data(), q.size()};
-        s.acc = {a.data(), a.size()};
-        conv2d_winograd_int8_into(view, qk, xf, 1, 0.0F, relu, want, s);
-      }
-      for (const std::size_t block : {2u, 5u}) {
-        std::vector<float> got(out_elems, -2.0F);
-        std::vector<float> f(nsq + 3 * nsq * block + nsq * block + nsq +
-                             mm * mm);
-        std::vector<std::int8_t> q(3 * nsq * block);
-        std::vector<std::int32_t> a(nsq * block);
-        float* p = f.data();
-        QuantWinogradScratch s;
-        s.d = {p, nsq};
-        p += nsq;
-        s.u_blk = {p, 3 * nsq * block};
-        p += 3 * nsq * block;
-        s.sv_blk = {p, nsq * block};
-        p += nsq * block;
-        s.m_f = {p, nsq};
-        p += nsq;
-        s.y = {p, mm * mm};
-        s.uq_blk = {q.data(), q.size()};
-        s.acc_blk = {a.data(), a.size()};
+      const std::vector<float> want =
+          golden_winograd_int8(input, qk, xf, 1, relu);
+      for (const std::size_t block : {1u, 2u, 3u, 8u, 16u}) {
+        wino::nn::ByteCarver measure;
+        (void)wino::nn::carve_quant_winograd_scratch(measure, 5, n, mm,
+                                                     block);
+        std::vector<std::byte> bytes(measure.used());
+        wino::nn::ByteCarver carver(bytes);
+        const QuantWinogradScratch s =
+            wino::nn::carve_quant_winograd_scratch(carver, 5, n, mm, block);
+        std::vector<float> got(want.size(), -2.0F);
         conv2d_winograd_int8_into(view, qk, xf, 1, 0.0F, relu, got, s);
         EXPECT_EQ(std::memcmp(got.data(), want.data(),
                               want.size() * sizeof(float)),
@@ -297,7 +365,7 @@ TEST(FusedPipeline, PlannerBlockSizingIsPeakNeutral) {
   const wino::nn::MemoryPlan& fused = plan.memory;
   ASSERT_FALSE(fused.empty());
   for (const std::size_t b : unfused.step_block_columns) {
-    EXPECT_EQ(b, 1u);  // sizing disabled: every step stays per-tile
+    EXPECT_EQ(b, 1u);  // sizing disabled: every step stays at B = 1
   }
   // Fused block scratch may never raise the slab high-water mark, at the
   // single-image point or deep into a batch.
