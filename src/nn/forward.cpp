@@ -531,8 +531,7 @@ void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
             const quant::QuantWinogradScratch scratch =
                 carve_quant_winograd_scratch(
                     carver, cur_layout.shape.c,
-                    static_cast<std::size_t>(entry->xf->tile()),
-                    static_cast<std::size_t>(entry->xf->m()), blk);
+                    static_cast<std::size_t>(entry->xf->tile()), blk);
             quant::conv2d_winograd_int8_into(view, *entry->wino, *entry->xf,
                                              l.conv.pad, step.act_scale,
                                              /*fuse_relu=*/true, obuf,

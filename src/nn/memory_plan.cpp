@@ -47,11 +47,9 @@ winograd::WinogradScratch carve_winograd_scratch(ByteCarver& carver,
                                                  std::size_t block_columns) {
   const std::size_t nsq = n_tile * n_tile;
   winograd::WinogradScratch s;
-  s.d = carver.take<float>(nsq);
   s.u_blk = carver.take<float>(channels * nsq * block_columns);
   s.acc_blk = carver.take<float>(nsq * block_columns);
   s.acc_m = carver.take<float>(nsq);
-  s.y = carver.take<float>(m * m);
   s.acc_y = carver.take<float>(m * m);
   s.row_tile = carver.take<std::size_t>(n_tile);
   s.row_in = carver.take<std::size_t>(n_tile);
@@ -74,16 +72,14 @@ quant::QuantIm2colScratch carve_quant_im2col_scratch(
 
 quant::QuantWinogradScratch carve_quant_winograd_scratch(
     ByteCarver& carver, std::size_t channels, std::size_t n_tile,
-    std::size_t m, std::size_t block_columns) {
+    std::size_t block_columns) {
   const std::size_t nsq = n_tile * n_tile;
   quant::QuantWinogradScratch s;
-  s.d = carver.take<float>(nsq);
   s.u_blk = carver.take<float>(channels * nsq * block_columns);
   s.sv_blk = carver.take<float>(nsq * block_columns);
   s.uq_blk = carver.take<std::int8_t>(channels * nsq * block_columns);
   s.acc_blk = carver.take<std::int32_t>(nsq * block_columns);
   s.m_f = carver.take<float>(nsq);
-  s.y = carver.take<float>(m * m);
   return s;
 }
 
@@ -116,7 +112,7 @@ std::size_t measure_wino_scratch(const WinoStepRecord& ws,
                                  std::size_t block_columns) {
   ByteCarver measure;
   if (ws.is_int8) {
-    (void)carve_quant_winograd_scratch(measure, ws.channels, ws.n_tile, ws.m,
+    (void)carve_quant_winograd_scratch(measure, ws.channels, ws.n_tile,
                                        block_columns);
   } else {
     (void)carve_winograd_scratch(measure, ws.channels, ws.n_tile, ws.m,
@@ -203,8 +199,7 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input,
         } else if (const int qm = int8_winograd_m(step.algo); qm > 0) {
           ByteCarver measure;
           (void)carve_quant_winograd_scratch(
-              measure, cur.c, static_cast<std::size_t>(qm) + r - 1,
-              static_cast<std::size_t>(qm));
+              measure, cur.c, static_cast<std::size_t>(qm) + r - 1);
           scratch_bytes = measure.used();
           record_wino(static_cast<std::size_t>(qm), /*is_int8=*/true);
         }
@@ -267,30 +262,35 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input,
   // Fused block sizing pass: grow each Winograd step's scratch to the
   // largest block the cache budget allows WITHOUT raising the slab peak at
   // 1 or 8 images over the all-B = 1 plan — the block's locality win must
-  // not cost a byte of planned peak (the bench gate pins it).
+  // not cost a byte of planned peak (the bench gate pins it). Blocks are
+  // whole register tiles (multiples of kFusedMinBlockColumns): columns
+  // past the last full tile take the strided per-position tail.
   // First-fit interval packing is not monotone in a buffer's size, so each
   // candidate is verified by re-resolving the whole plan; the binary
   // search just orders the probes.
   if (fuse_blocks && !wino_steps.empty()) {
     const std::size_t peak1 = mp.peak_bytes(1);
     const std::size_t peak8 = mp.peak_bytes(8);
+    // Column supply: the executor walks chunk_images * tiles columns per
+    // call, and a chunk holds at most min(8, plan_batch_ceiling) images,
+    // so a wider block is never filled.
+    const std::size_t chunk_images =
+        std::clamp<std::size_t>(plan_batch_ceiling(plan), 1, 8);
+    constexpr std::size_t unit = winograd::kFusedMinBlockColumns;
     for (const WinoStepRecord& ws : wino_steps) {
       const std::size_t cache_cap = winograd::fused_block_columns(
           ws.channels, ws.n_tile, winograd::kFusedCacheBudgetBytes);
-      // Column supply: the executor walks chunk_images * tiles columns per
-      // call; chunks max out at 8 images, so a bigger block is pure waste.
-      const std::size_t cap = std::min(cache_cap, ws.tiles * 8);
-      // Blocks narrower than the coordinate GEMM's register tile run all
-      // columns through the strided tail and lose to B = 1.
-      if (cap < winograd::kFusedMinBlockColumns) continue;
+      const std::size_t tiles_cap =
+          std::min(cache_cap, ws.tiles * chunk_images) / unit;
+      if (tiles_cap == 0) continue;
       PlannedBuffer& buf = mp.buffers[ws.buffer];
       const std::size_t unit_bytes = buf.fixed_bytes;
-      const auto fits = [&](std::size_t block) {
-        buf.fixed_bytes = measure_wino_scratch(ws, block);
+      const auto fits = [&](std::size_t tiles) {
+        buf.fixed_bytes = measure_wino_scratch(ws, tiles * unit);
         return mp.peak_bytes(1) <= peak1 && mp.peak_bytes(8) <= peak8;
       };
-      std::size_t best = 1;
-      std::size_t lo = winograd::kFusedMinBlockColumns, hi = cap;
+      std::size_t best = 0;
+      std::size_t lo = 1, hi = tiles_cap;
       while (lo <= hi) {
         const std::size_t mid = lo + (hi - lo) / 2;
         if (fits(mid)) {
@@ -300,8 +300,8 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input,
           hi = mid - 1;
         }
       }
-      if (best >= 2 && fits(best)) {
-        mp.step_block_columns[ws.step] = best;
+      if (best > 0 && fits(best)) {
+        mp.step_block_columns[ws.step] = best * unit;
       } else {
         buf.fixed_bytes = unit_bytes;
       }

@@ -106,10 +106,14 @@ struct MemoryPlan {
   /// Per step: buffers index of the layer's scratch, or -1 when none.
   std::vector<std::ptrdiff_t> step_scratch;
   /// Per step: tile columns per block B for Winograd conv steps (fp32 or
-  /// int8), 1 for every other layer kind. Sized so the block's scratch
-  /// fits the cache budget WITHOUT raising the slab's peak bytes at 1 or 8
-  /// images over the all-B = 1 plan (the planner shrinks the block until
-  /// the peak is neutral; a zero-slack step simply stays at B = 1).
+  /// int8), 1 for every other layer kind. B is 1 or a multiple of
+  /// winograd::kFusedMinBlockColumns, at most the cache budget's width and
+  /// the column supply tiles * min(8, plan_batch_ceiling) — the most
+  /// columns one executor call can hand the walk — and its scratch never
+  /// raises the slab's peak bytes at 1 or 8 images over the all-B = 1 plan
+  /// (the planner shrinks the block until the peak is neutral; a
+  /// zero-slack step simply stays at B = 1). A call with fewer columns
+  /// than one register tile walks at B = 1 in the same scratch.
   std::vector<std::size_t> step_block_columns;
   /// Per step: planned Layout of the output activation with shape.n == 1.
   std::vector<tensor::Layout> act_layout;
@@ -159,11 +163,12 @@ struct MemoryPlan {
                                            tensor::Shape4 input,
                                            bool fuse_blocks = true);
 
-/// Carve (or measure) the scratch of one Winograd conv layer: the data
-/// tile, transform bank, accumulator tiles and the tile-form gather maps
-/// of winograd::conv2d_winograd_layout_into. `n_tile` is the transformer's
-/// m + r - 1 edge. `block_columns` is the walk's block size B >= 1: the
-/// bank and accumulators scale with it, everything else is one tile.
+/// Carve (or measure) the scratch of one Winograd conv layer: the
+/// transform bank, the accumulators, the staging and post-inverse tiles
+/// and the tile-form gather maps of winograd::conv2d_winograd_layout_into.
+/// `n_tile` is the transformer's m + r - 1 edge. `block_columns` is the
+/// walk's block size B >= 1: the bank and accumulators scale with it,
+/// everything else is one tile.
 [[nodiscard]] winograd::WinogradScratch carve_winograd_scratch(
     ByteCarver& carver, std::size_t channels, std::size_t n_tile,
     std::size_t m, std::size_t block_columns = 1);
@@ -179,12 +184,13 @@ struct MemoryPlan {
     std::size_t kcount);
 
 /// Carve (or measure) the scratch of one int8 Winograd conv layer: the
-/// gathered/transformed/quantized tiles and accumulators of
-/// quant::conv2d_winograd_int8_into. `n_tile` is the transformer's
-/// m + r - 1 edge. `block_columns` as in carve_winograd_scratch.
+/// transformed and quantized banks, scales, accumulators and staging
+/// tile of quant::conv2d_winograd_int8_into. `n_tile` is the
+/// transformer's m + r - 1 edge. `block_columns` as in
+/// carve_winograd_scratch.
 [[nodiscard]] quant::QuantWinogradScratch carve_quant_winograd_scratch(
     ByteCarver& carver, std::size_t channels, std::size_t n_tile,
-    std::size_t m, std::size_t block_columns = 1);
+    std::size_t block_columns = 1);
 
 /// Carve (or measure) the tiled-maxpool column maps for an input/output
 /// layout pair (empty spans for NCHW sides).

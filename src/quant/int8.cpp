@@ -73,21 +73,21 @@ void gather_patches(const PatchGeometry& g, const std::int8_t* image,
   }
 }
 
-// acc[i] = sum over c of uq[(c * nsq + i) * B] * vq[c * nsq + i]: the
+// acc[i * B] = sum over c of uq[(c * nsq + i) * B] * vq[c * nsq + i]: the
 // int32 channel reduction of one tile column of a [C][n*n][B] bank (uq
-// points at the column) against one kernel's [C][n*n] bank. S fixes the
-// column stride B at compile time (0 reads `block`), so the one-column
-// bank's contiguous loop vectorises.
+// and acc point at the column) against one kernel's [C][n*n] bank. S
+// fixes the column stride B at compile time (0 reads `block`), so the
+// one-column bank's contiguous loop vectorises.
 template <std::size_t S>
 void reduce_column(const std::int8_t* uq, std::size_t block,
                    const std::int8_t* vq, std::size_t channels,
                    std::size_t nsq, std::int32_t* acc) {
   const std::size_t stride = S > 0 ? S : block;
-  std::fill(acc, acc + nsq, 0);
+  for (std::size_t i = 0; i < nsq; ++i) acc[i * stride] = 0;
   for (std::size_t c = 0; c < channels; ++c, uq += nsq * block, vq += nsq) {
     for (std::size_t i = 0; i < nsq; ++i) {
-      acc[i] += static_cast<std::int32_t>(uq[i * stride]) *
-                static_cast<std::int32_t>(vq[i]);
+      acc[i * stride] += static_cast<std::int32_t>(uq[i * stride]) *
+                         static_cast<std::int32_t>(vq[i]);
     }
   }
 }
@@ -292,7 +292,6 @@ void conv2d_winograd_int8_into(const tensor::Tensor4fView& input,
   const std::size_t r = static_cast<std::size_t>(xf.r());
   const std::size_t n_tile = static_cast<std::size_t>(xf.tile());
   const std::size_t nsq = n_tile * n_tile;
-  const std::size_t msq = m * m;
   if (nsq != qk.tile_sq) {
     throw std::invalid_argument(
         "conv2d_winograd_int8: bank tile area does not match transformer");
@@ -301,20 +300,18 @@ void conv2d_winograd_int8_into(const tensor::Tensor4fView& input,
   const std::size_t ow = is.w + 2 * static_cast<std::size_t>(pad) - r + 1;
   const std::size_t tiles_y = (oh + m - 1) / m;
   const std::size_t tiles_x = (ow + m - 1) / m;
-  check_span(scratch.d.size(), nsq, "d");
-  check_span(scratch.m_f.size(), nsq, "m_f");
-  check_span(scratch.y.size(), msq, "y");
   check_span(out.size(), is.n * qk.kernels * oh * ow, "out");
-  const std::size_t B = scratch.acc_blk.size() / nsq;
+  const std::size_t block = scratch.acc_blk.size() / nsq;
   const std::size_t C = is.c;
-  if (B == 0) {
+  if (block == 0) {
     throw std::invalid_argument(
         "conv2d_winograd_int8: scratch must hold at least one tile column");
   }
-  check_span(scratch.u_blk.size(), C * nsq * B, "u_blk");
-  check_span(scratch.sv_blk.size(), nsq * B, "sv_blk");
-  check_span(scratch.uq_blk.size(), C * nsq * B, "uq_blk");
-  check_span(scratch.acc_blk.size(), nsq * B, "acc_blk");
+  check_span(scratch.u_blk.size(), C * nsq * block, "u_blk");
+  check_span(scratch.sv_blk.size(), nsq * block, "sv_blk");
+  check_span(scratch.uq_blk.size(), C * nsq * block, "uq_blk");
+  check_span(scratch.acc_blk.size(), nsq * block, "acc_blk");
+  check_span(scratch.m_f.size(), nsq, "m_f");
 
   // The Winograd form self-calibrates in the transform domain: each tile
   // position takes its scale from the observed max across channels (the
@@ -335,67 +332,81 @@ void conv2d_winograd_int8_into(const tensor::Tensor4fView& input,
     col.ty = 0;
     ++col.img;
   };
-  // Gather one channel of the tile at `col` into scratch.d.
-  const auto gather = [&](const Column& col, std::size_t c) {
+  // Gather channel c of the tile at `col`: element e lands at
+  // dst[e * stride].
+  const auto gather = [&](const Column& col, std::size_t c, float* dst,
+                          std::size_t stride) {
     const std::ptrdiff_t base_h = static_cast<std::ptrdiff_t>(col.ty * m) - pad;
     const std::ptrdiff_t base_w = static_cast<std::ptrdiff_t>(col.tx * m) - pad;
     for (std::size_t i = 0; i < n_tile; ++i) {
       for (std::size_t j = 0; j < n_tile; ++j) {
-        scratch.d[i * n_tile + j] =
+        dst[(i * n_tile + j) * stride] =
             input.padded(col.img, c, base_h + static_cast<std::ptrdiff_t>(i),
                          base_w + static_cast<std::ptrdiff_t>(j));
       }
     }
   };
-  // Inverse-transform scratch.m_f and scatter kernel k's tile at `col`.
-  const auto finish_tile = [&](std::size_t k, const Column& col) {
-    xf.inverse(scratch.m_f, scratch.y);
+  // Scatter kernel k's output tile y (element e at y[e * stride]) at `col`.
+  const auto scatter = [&](std::size_t k, const Column& col, const float* y,
+                           std::size_t stride) {
     float* oplane = out.data() + (col.img * qk.kernels + k) * oh * ow;
     const std::size_t lim_h = std::min(m, oh - col.ty * m);
     const std::size_t lim_w = std::min(m, ow - col.tx * m);
     for (std::size_t i = 0; i < lim_h; ++i) {
       for (std::size_t j = 0; j < lim_w; ++j) {
-        float v = scratch.y[i * m + j];
+        float v = y[(i * m + j) * stride];
         if (fuse_relu && v < 0.0F) v = 0.0F;
         oplane[(col.ty * m + i) * ow + col.tx * m + j] = v;
       }
     }
   };
   // The tile walk of winograd::conv2d_winograd_layout_into over integer
-  // operands: per block of B columns, transform every channel into the
-  // [C][n*n][B] bank, self-calibrate and quantize each column, then per
-  // kernel reduce over channels — a register-tiled int32 coordinate GEMM
-  // over full kRegCols-column tiles, a per-position loop for the rest —
-  // and dequantize / inverse / scatter each column. Every per-tile
+  // operands: per block of B columns, gather and transform every channel
+  // in place in the [C][n*n][B] bank, self-calibrate and quantize each
+  // column, then per kernel reduce over channels — a register-tiled int32
+  // coordinate GEMM over full kRegCols-column tiles, a per-position loop
+  // for the rest — into acc_blk[e][t], dequantize the block into the
+  // front of the (no longer needed) fp32 bank, inverse-transform it there
+  // in place and scatter each column. A block that cannot fill one
+  // register tile runs at B = 1, as in the fp32 walk. Every per-tile
   // quantity comes from that tile's own data by the same fp32 expressions
   // and the reduction is exact int32, so B never changes the output.
   constexpr std::size_t kRegCols = 8;
   const std::size_t columns = is.n * tiles_img;
   Column col{0, 0, 0};
+  std::size_t B = block;
   for (std::size_t base = 0; base < columns; base += B) {
+    if (columns - base < kRegCols) B = 1;
     const std::size_t bcols = std::min(B, columns - base);
     const Column first = col;
     for (std::size_t t = 0; t < bcols; ++t, advance(col)) {
-      for (std::size_t c = 0; c < C; ++c) {
-        gather(col, c);
+      float* lane = scratch.u_blk.data() + t;
+      for (std::size_t c = 0; c < C; ++c, lane += nsq * B) {
+        // A literal stride at B = 1 keeps the inlined gather contiguous.
         if (B == 1) {
-          xf.transform_data(scratch.d, scratch.u_blk.subspan(c * nsq, nsq));
-          continue;
+          gather(col, c, lane, 1);
+        } else {
+          gather(col, c, lane, B);
         }
-        xf.transform_data(scratch.d, scratch.m_f);
-        float* lane = scratch.u_blk.data() + c * nsq * B + t;
-        for (std::size_t i = 0; i < nsq; ++i) lane[i * B] = scratch.m_f[i];
       }
     }
-    for (std::size_t t = 0; t < bcols; ++t) {
-      for (std::size_t i = 0; i < nsq; ++i) {
+    float* bank = scratch.u_blk.data();
+    for (std::size_t c = 0; c < C; ++c, bank += nsq * B) {
+      if (B == 1) {
+        xf.transform_data_tile(bank, bank);
+      } else {
+        xf.transform_data_lanes(bank, bcols, B, scratch.m_f.data());
+      }
+    }
+    for (std::size_t i = 0; i < nsq; ++i) {
+      for (std::size_t t = 0; t < bcols; ++t) {
         const float* ue = scratch.u_blk.data() + i * B + t;
         std::int8_t* qe = scratch.uq_blk.data() + i * B + t;
         float pos_max = 0.0F;
         for (std::size_t c = 0; c < C; ++c) {
           pos_max = finite_max_abs(pos_max, ue[c * nsq * B]);
         }
-        scratch.sv_blk[t * nsq + i] = pos_max / 127.0F;
+        scratch.sv_blk[i * B + t] = pos_max / 127.0F;
         const float inv = pos_max > 0.0F ? 127.0F / pos_max : 0.0F;
         for (std::size_t c = 0; c < C; ++c) {
           qe[c * nsq * B] = quantize_symmetric(ue[c * nsq * B], inv);
@@ -415,29 +426,41 @@ void conv2d_winograd_int8_into(const tensor::Tensor4fView& input,
               acc[j] += static_cast<std::int32_t>(up[j]) * vv;
             }
           }
-          std::int32_t* dst = scratch.acc_blk.data() + t * nsq + i;
-          for (std::size_t j = 0; j < kRegCols; ++j) dst[j * nsq] = acc[j];
+          std::int32_t* dst = scratch.acc_blk.data() + i * B + t;
+          for (std::size_t j = 0; j < kRegCols; ++j) dst[j] = acc[j];
+        }
+      }
+      for (std::size_t t = full; t < bcols; ++t) {
+        const std::int8_t* uq = scratch.uq_blk.data() + t;
+        const std::int8_t* vq = qk.data.data() + k * C * nsq;
+        std::int32_t* acc = scratch.acc_blk.data() + t;
+        if (B == 1) {
+          reduce_column<1>(uq, B, vq, C, nsq, acc);
+        } else {
+          reduce_column<0>(uq, B, vq, C, nsq, acc);
         }
       }
       const float* kscale = qk.scale.data() + k * nsq;
+      float* deq = scratch.u_blk.data();  // the fp32 bank is dead by now
+      for (std::size_t i = 0; i < nsq; ++i) {
+        const std::int32_t* acc = scratch.acc_blk.data() + i * B;
+        const float* sv = scratch.sv_blk.data() + i * B;
+        for (std::size_t t = 0; t < bcols; ++t) {
+          deq[i * B + t] = static_cast<float>(acc[t]) * (kscale[i] * sv[t]);
+        }
+      }
+      if (B == 1) {
+        xf.inverse_tile(deq, deq);
+      } else {
+        xf.inverse_lanes(deq, bcols, B, scratch.m_f.data());
+      }
       Column at = first;
       for (std::size_t t = 0; t < bcols; ++t, advance(at)) {
-        if (t >= full) {
-          const std::int8_t* uq = scratch.uq_blk.data() + t;
-          const std::int8_t* vq = qk.data.data() + k * C * nsq;
-          std::int32_t* acc = scratch.acc_blk.data() + t * nsq;
-          if (B == 1) {
-            reduce_column<1>(uq, B, vq, C, nsq, acc);
-          } else {
-            reduce_column<0>(uq, B, vq, C, nsq, acc);
-          }
+        if (B == 1) {
+          scatter(k, at, deq + t, 1);
+        } else {
+          scatter(k, at, deq + t, B);
         }
-        const std::int32_t* acc = scratch.acc_blk.data() + t * nsq;
-        const float* sv = scratch.sv_blk.data() + t * nsq;
-        for (std::size_t i = 0; i < nsq; ++i) {
-          scratch.m_f[i] = static_cast<float>(acc[i]) * (kscale[i] * sv[i]);
-        }
-        finish_tile(k, at);
       }
     }
   }
@@ -473,30 +496,25 @@ tensor::Tensor4f run_winograd_int8(const tensor::Tensor4f& input,
   const std::size_t r = static_cast<std::size_t>(xf.r());
   const std::size_t n_tile = static_cast<std::size_t>(xf.tile());
   const std::size_t nsq = n_tile * n_tile;
-  const std::size_t msq = static_cast<std::size_t>(xf.m() * xf.m());
   const std::size_t oh = is.h + 2 * static_cast<std::size_t>(pad) - r + 1;
   const std::size_t ow = is.w + 2 * static_cast<std::size_t>(pad) - r + 1;
   const std::size_t block = winograd::default_block_columns(
       is.c, n_tile, is.n * ((oh + xf.m() - 1) / xf.m()) *
                         ((ow + xf.m() - 1) / xf.m()));
-  std::vector<float> d(nsq);
   std::vector<float> u_blk(is.c * nsq * block);
   std::vector<float> sv_blk(nsq * block);
   std::vector<std::int8_t> uq_blk(is.c * nsq * block);
   std::vector<std::int32_t> acc_blk(nsq * block);
   std::vector<float> m_f(nsq);
-  std::vector<float> y(msq);
   tensor::Tensor4f out(is.n, qk.kernels, oh, ow);
   conv2d_winograd_int8_into(
       tensor::Tensor4fView(is, input.flat()), qk, xf, pad, act_scale,
       /*fuse_relu=*/false, out.flat(),
-      QuantWinogradScratch{.d = d,
-                           .u_blk = u_blk,
+      QuantWinogradScratch{.u_blk = u_blk,
                            .sv_blk = sv_blk,
                            .uq_blk = uq_blk,
                            .acc_blk = acc_blk,
-                           .m_f = m_f,
-                           .y = y});
+                           .m_f = m_f});
   return out;
 }
 

@@ -132,20 +132,20 @@ struct QuantIm2colScratch {
 /// nn::carve_quant_winograd_scratch. Extents validated at entry.
 ///
 /// Holds one block of B >= 1 tile columns (B = acc_blk.size() / (n*n)),
-/// laid out like winograd::WinogradScratch: the fp32 transform bank, its
-/// per-position scales, the quantized bank and the int32 accumulators;
-/// m_f doubles as the transform staging and dequantized tile. Every
-/// per-tile quantity (position scales, quantized values, int32 sums,
+/// laid out like winograd::WinogradScratch: the fp32 bank the tiles are
+/// gathered into and transformed in place, its per-position scales, the
+/// quantized bank, the int32 accumulators and one staging tile. Once the
+/// block is quantized, the front of the fp32 bank holds each kernel's
+/// dequantized [n*n][B] block while it is inverse-transformed in place.
+/// Every per-tile quantity (position scales, quantized values, int32 sums,
 /// dequantized products) depends only on that tile's own data, so the
 /// output does not depend on B.
 struct QuantWinogradScratch {
-  std::span<float> d;               ///< n*n gathered input tile
   std::span<float> u_blk;           ///< [C][n*n][B] fp32 transform bank
-  std::span<float> sv_blk;          ///< [B][n*n] per-position data scales
+  std::span<float> sv_blk;          ///< [n*n][B] per-position data scales
   std::span<std::int8_t> uq_blk;    ///< [C][n*n][B] quantized bank
-  std::span<std::int32_t> acc_blk;  ///< [B][n*n] int32 channel sums
-  std::span<float> m_f;             ///< n*n staging / dequantized tile
-  std::span<float> y;               ///< m*m inverse-transformed tile
+  std::span<std::int32_t> acc_blk;  ///< [n*n][B] int32 channel sums
+  std::span<float> m_f;             ///< n*n staging tile
 };
 
 /// \brief Allocation-free int8 im2col convolution over an NCHW batch view.

@@ -29,7 +29,11 @@ std::size_t default_block_columns(std::size_t channels, std::size_t tile,
 
 TileTransformer::TileTransformer(const TransformSet& t)
     : m_(t.m), r_(t.r), n_(t.tile()), bt_(t.bt_f()), g_(t.g_f()),
-      at_(t.at_f()) {}
+      at_(t.at_f()),
+      data_(select_kernels(static_cast<std::size_t>(n_),
+                           static_cast<std::size_t>(n_))),
+      inv_(select_kernels(static_cast<std::size_t>(m_),
+                          static_cast<std::size_t>(n_))) {}
 
 void TileTransformer::sandwich(const FMatrix& mat, std::span<const float> in,
                                std::span<float> out) const {
@@ -326,11 +330,18 @@ void build_gather_maps(const LayoutConv& g, const WinogradScratch& s,
   }
 }
 
-/// Fill s.d with channel c of the gather window at (img, w).
+/// Write channel c of the gather window at (img, w) to dst: window element
+/// (i, j) lands at dst[(i * n + j) * stride], so stride 1 fills one tile and
+/// stride B fills one lane of a [n*n][B] bank slice. S fixes the stride at
+/// compile time (0 reads `block`).
+template <std::size_t S>
 void gather_channel(const LayoutConv& g, const WinogradScratch& s,
-                    const Window& w, std::size_t img, std::size_t c) {
-  const std::span<float> d = s.d;
-  if (w.padded) std::fill(d.begin(), d.end(), 0.0F);
+                    const Window& w, std::size_t img, std::size_t c,
+                    float* dst, std::size_t block) {
+  const std::size_t stride = S > 0 ? S : block;
+  if (w.padded) {
+    for (std::size_t e = 0; e < g.nsq; ++e) dst[e * stride] = 0.0F;
+  }
   if (!g.in_tiled) {
     const float* plane = g.src + (img * g.channels + c) * g.in_h * g.in_w;
     for (std::size_t i = w.i_lo; i < w.i_hi; ++i) {
@@ -340,11 +351,11 @@ void gather_channel(const LayoutConv& g, const WinogradScratch& s,
               g.in_w +
           static_cast<std::size_t>(w.x0 +
                                    static_cast<std::ptrdiff_t>(w.j_lo));
-      float* drow = d.data() + i * g.n;
+      float* drow = dst + i * g.n * stride;
       // Plain loop, not std::copy: the span is a handful of floats, and a
       // memmove call per tile row costs more than the loads it performs.
       for (std::size_t j = w.j_lo; j < w.j_hi; ++j) {
-        drow[j] = rowp[j - w.j_lo];
+        drow[j * stride] = rowp[j - w.j_lo];
       }
     }
   } else {
@@ -353,35 +364,35 @@ void gather_channel(const LayoutConv& g, const WinogradScratch& s,
       const float* row_ptr =
           g.src + (chan_base + s.row_tile[i]) * g.in_tw_n * g.in_tmsq +
           s.row_in[i];
-      float* drow = d.data() + i * g.n;
+      float* drow = dst + i * g.n * stride;
       for (std::size_t j = w.j_lo; j < w.j_hi; ++j) {
-        drow[j] = row_ptr[s.col_off[j]];
+        drow[j * stride] = row_ptr[s.col_off[j]];
       }
     }
   }
 }
 
-/// Scatter acc_y (m*m) for kernel k at tile (img, th, tw) into the
-/// requested output layout, clipping the ragged right/bottom edge.
-void scatter_tile(const LayoutConv& g, std::span<const float> acc_y,
+/// Scatter the m*m output tile y (element e at y[e * stride]) for kernel
+/// k at tile (img, th, tw) into the requested output layout, clipping the
+/// ragged right/bottom edge. S as in gather_channel.
+template <std::size_t S>
+void scatter_tile(const LayoutConv& g, const float* y, std::size_t block,
                   std::size_t img, std::size_t k, std::size_t th,
                   std::size_t tw) {
+  const std::size_t stride = S > 0 ? S : block;
   const std::size_t mm = g.mm;
   const std::size_t ie = std::min(mm, g.out_h - th * mm);
   const std::size_t je = std::min(mm, g.out_w - tw * mm);
+  const auto relu = [&](float v) {
+    return g.fuse_relu ? (v > 0.0F ? v : 0.0F) : v;
+  };
   if (!g.out_tiled) {
     float* out_plane =
         g.dst + (img * g.kernel_count + k) * g.out_h * g.out_w;
     for (std::size_t i = 0; i < ie; ++i) {
       float* orow = out_plane + (th * mm + i) * g.out_w + tw * mm;
-      const float* ay = acc_y.data() + i * mm;
-      if (g.fuse_relu) {
-        for (std::size_t j = 0; j < je; ++j) {
-          orow[j] = ay[j] > 0.0F ? ay[j] : 0.0F;
-        }
-      } else {
-        for (std::size_t j = 0; j < je; ++j) orow[j] = ay[j];
-      }
+      const float* yrow = y + i * mm * stride;
+      for (std::size_t j = 0; j < je; ++j) orow[j] = relu(yrow[j * stride]);
     }
   } else {
     // Tile-form scatter: one contiguous m*m block per (k, tile);
@@ -389,19 +400,12 @@ void scatter_tile(const LayoutConv& g, std::span<const float> acc_y,
     // layout's ragged-tile invariant (ReLU keeps 0 at 0).
     float* block = g.dst + tensor::winograd_tile_offset(g.ol, img, k, th, tw);
     if (ie == mm && je == mm) {
-      if (g.fuse_relu) {
-        for (std::size_t i = 0; i < mm * mm; ++i) {
-          block[i] = acc_y[i] > 0.0F ? acc_y[i] : 0.0F;
-        }
-      } else {
-        for (std::size_t i = 0; i < mm * mm; ++i) block[i] = acc_y[i];
-      }
+      for (std::size_t e = 0; e < mm * mm; ++e) block[e] = relu(y[e * stride]);
     } else {
       std::fill(block, block + mm * mm, 0.0F);
       for (std::size_t i = 0; i < ie; ++i) {
         for (std::size_t j = 0; j < je; ++j) {
-          const float v = acc_y[i * mm + j];
-          block[i * mm + j] = g.fuse_relu ? (v > 0.0F ? v : 0.0F) : v;
+          block[i * mm + j] = relu(y[(i * mm + j) * stride]);
         }
       }
     }
@@ -438,11 +442,11 @@ constexpr std::size_t kRegPos = 4;
 
 /// One register tile of the transform-domain coordinate GEMM: P positions
 /// from e by kRegCols columns from t of kernel k, each partial sum held
-/// across the whole channel loop, landing in acc_blk[t][e]. Per channel
+/// across the whole channel loop, landing in acc_blk[e][t]. Per channel
 /// the tile reads P adjacent rows of the bank and P adjacent values of
 /// V_kc. Kept out of line: inlined into walk_columns, gcc vectorises the
-/// tile across positions (the acc_blk stores are contiguous in e) and
-/// gathers every bank row with scalar loads, 1.3-1.5x slower.
+/// tile across positions and gathers every bank row with scalar loads,
+/// 1.3-1.5x slower.
 template <std::size_t P>
 [[gnu::noinline]] void coordinate_tile(const LayoutConv& g,
                                        const WinogradScratch& s,
@@ -463,9 +467,9 @@ template <std::size_t P>
       for (std::size_t j = 0; j < kRegCols; ++j) acc[p][j] += row[j] * vv[p];
     }
   }
-  float* out = s.acc_blk.data() + t * nsq + e;
-  for (std::size_t j = 0; j < kRegCols; ++j) {
-    for (std::size_t p = 0; p < P; ++p) out[j * nsq + p] = acc[p][j];
+  float* out = s.acc_blk.data() + e * block + t;
+  for (std::size_t p = 0; p < P; ++p) {
+    for (std::size_t j = 0; j < kRegCols; ++j) out[p * block + j] = acc[p][j];
   }
 }
 
@@ -482,101 +486,137 @@ void coordinate_gemm(const LayoutConv& g, const WinogradScratch& s,
   }
 }
 
-/// One column of kernel k outside the register tiles. Transform domain:
-/// acc_blk[t][e] = sum over ascending c of U_c[e] * V_kc[e]. Post-inverse
-/// (the paper's Fig 7 accumulation buffers): acc_y = sum over ascending c
-/// of A^T (U_c . V_kc) A, with acc_m as the product tile. S fixes the
-/// bank's column stride B at compile time (0 reads `block`), so the
+/// Transform-domain reduction of one column of kernel k outside the
+/// register tiles: acc_blk[e][t] = sum over ascending c of U_c[e] * V_kc[e].
+/// S fixes the column stride B at compile time (0 reads `block`), so the
 /// one-column bank's contiguous loops vectorise.
 template <std::size_t S>
 void reduce_column(const LayoutConv& g, const WinogradScratch& s,
-                   AccumulationOrder order, std::size_t block, std::size_t t,
-                   std::size_t k) {
+                   std::size_t block, std::size_t t, std::size_t k) {
   const std::size_t nsq = g.nsq;
   const std::size_t stride = S > 0 ? S : block;
   const float* u = s.u_blk.data() + t;
-  if (order == AccumulationOrder::kTransformDomain) {
-    float* acc = s.acc_blk.data() + t * nsq;
-    std::fill(acc, acc + nsq, 0.0F);
-    for (std::size_t c = 0; c < g.channels; ++c, u += nsq * block) {
-      const float* v = g.tk->v(k, c).data();
-      for (std::size_t e = 0; e < nsq; ++e) acc[e] += u[e * stride] * v[e];
+  float* acc = s.acc_blk.data() + t;
+  for (std::size_t e = 0; e < nsq; ++e) acc[e * stride] = 0.0F;
+  for (std::size_t c = 0; c < g.channels; ++c, u += nsq * block) {
+    const float* v = g.tk->v(k, c).data();
+    for (std::size_t e = 0; e < nsq; ++e) {
+      acc[e * stride] += u[e * stride] * v[e];
     }
-    return;
   }
+}
+
+/// Post-inverse reduction of one column of kernel k (the paper's Fig 7
+/// accumulation buffers): acc_y = sum over ascending c of A^T (U_c . V_kc) A,
+/// the product tile inverse-transformed in place in acc_m.
+void reduce_column_post_inverse(const LayoutConv& g, const WinogradScratch& s,
+                                std::size_t block, std::size_t t,
+                                std::size_t k) {
+  const std::size_t nsq = g.nsq;
+  const float* u = s.u_blk.data() + t;
+  float* prod = s.acc_m.data();
   std::fill(s.acc_y.begin(), s.acc_y.end(), 0.0F);
   for (std::size_t c = 0; c < g.channels; ++c, u += nsq * block) {
     const float* v = g.tk->v(k, c).data();
-    for (std::size_t e = 0; e < nsq; ++e) s.acc_m[e] = u[e * stride] * v[e];
-    g.xf->inverse(s.acc_m, s.y);
-    for (std::size_t i = 0; i < s.y.size(); ++i) s.acc_y[i] += s.y[i];
+    for (std::size_t e = 0; e < nsq; ++e) prod[e] = u[e * block] * v[e];
+    g.xf->inverse_tile(prod, prod);
+    for (std::size_t i = 0; i < s.acc_y.size(); ++i) s.acc_y[i] += prod[i];
+  }
+}
+
+/// One block of the walk: `bcols` columns from `pos` (advanced past them)
+/// in a bank of column stride `block`. S fixes the stride at compile time
+/// (0 reads `block`); walk_columns runs every B = 1 block as S = 1.
+template <std::size_t S>
+void walk_block(const LayoutConv& g, const WinogradScratch& s,
+                AccumulationOrder order, std::size_t block, std::size_t bcols,
+                ColumnPos& pos) {
+  const TileTransformer& xf = *g.xf;
+  const std::size_t nsq = g.nsq;
+  const ColumnPos first = pos;
+  for (std::size_t t = 0; t < bcols; ++t, pos.advance(g)) {
+    const Window w = make_window(g, pos.th, pos.tw);
+    if (g.in_tiled) build_gather_maps(g, s, w);
+    float* lane = s.u_blk.data() + t;
+    for (std::size_t c = 0; c < g.channels; ++c, lane += nsq * block) {
+      gather_channel<S>(g, s, w, pos.img, c, lane, block);
+    }
+  }
+  float* bank = s.u_blk.data();
+  for (std::size_t c = 0; c < g.channels; ++c, bank += nsq * block) {
+    if constexpr (S == 1) {
+      xf.transform_data_tile(bank, bank);
+    } else {
+      xf.transform_data_lanes(bank, bcols, block, s.acc_m.data());
+    }
+  }
+
+  if (order == AccumulationOrder::kPostInverse) {
+    for (std::size_t k = 0; k < g.kernel_count; ++k) {
+      ColumnPos at = first;
+      for (std::size_t t = 0; t < bcols; ++t, at.advance(g)) {
+        reduce_column_post_inverse(g, s, block, t, k);
+        scatter_tile<1>(g, s.acc_y.data(), 1, at.img, k, at.th, at.tw);
+      }
+    }
+    return;
+  }
+  const std::size_t full = bcols / kRegCols * kRegCols;
+  float* acc = s.acc_blk.data();
+  for (std::size_t k = 0; k < g.kernel_count; ++k) {
+    if (full > 0) coordinate_gemm(g, s, block, full, k);
+    for (std::size_t t = full; t < bcols; ++t) {
+      reduce_column<S>(g, s, block, t, k);
+    }
+    if constexpr (S == 1) {
+      xf.inverse_tile(acc, acc);
+    } else {
+      xf.inverse_lanes(acc, bcols, block, s.acc_m.data());
+    }
+    ColumnPos at = first;
+    for (std::size_t t = 0; t < bcols; ++t, at.advance(g)) {
+      scatter_tile<S>(g, acc + t, block, at.img, k, at.th, at.tw);
+    }
   }
 }
 
 /// The Winograd tile walk over columns [col_begin, col_end), in blocks of
 /// `block` columns (any B >= 1):
-///  1. gather and transform every column of the block into the bank
-///     u_blk[c][e][t] — the data transform is shared by all K kernels
-///     (Section IV-E);
+///  1. gather every column of the block into the bank u_blk[c][e][t] and
+///     transform it in place — one tile at B = 1, all of a channel's
+///     columns at once at B > 1 — the data transform is shared by all K
+///     kernels (Section IV-E);
 ///  2. per kernel, reduce over channels — transform-domain: the register-
 ///     tiled coordinate GEMM over full kRegCols-column tiles, then a
-///     per-position loop for the remaining columns; post-inverse: per
-///     column, inverse each channel's product and sum the outputs;
-///  3. inverse-transform (transform domain) and scatter each column while
-///     the block is still cache-hot.
+///     per-position loop for the remaining columns, into acc_blk[e][t];
+///     post-inverse: per column, inverse each channel's product and sum
+///     the outputs;
+///  3. inverse-transform the block's accumulators in place (transform
+///     domain) and scatter each column while the block is still cache-hot.
+/// A block that cannot fill one register tile — a walk over fewer than
+/// kRegCols columns, or the last columns of a longer one — runs at B = 1
+/// in the first C * n*n floats of the bank instead: at stride 1 every
+/// loop is contiguous, which the strided per-position tail is not.
 ///
 /// Bit-identity with conv2d_winograd holds per element: every (kernel,
 /// column, position) chain starts at 0 and adds in strictly ascending
-/// channel order whatever the block size or a column's place in it — the
-/// same float operations in the same order, only regrouped across
-/// independent columns. (This translation unit is built with
-/// -ffp-contract=off, so the compiler cannot contract the multiply-add
-/// differently in the two loops either.) At B = 1 the walk is the
-/// per-tile loop of conv2d_winograd.
+/// channel order whatever the block size or a column's place in it, and
+/// the tile transforms evaluate each element as TileTransformer's
+/// transform_data / inverse do — the same float operations in the same
+/// order, only regrouped across independent columns. (This translation
+/// unit is built with -ffp-contract=off, so the compiler cannot contract
+/// the multiply-add differently in the two loops either.)
 void walk_columns(const LayoutConv& g, const WinogradScratch& s,
                   AccumulationOrder order, std::size_t block,
                   std::size_t col_begin, std::size_t col_end) {
-  const TileTransformer& xf = *g.xf;
-  const std::size_t nsq = g.nsq;
   ColumnPos pos(g, col_begin);
   for (std::size_t base = col_begin; base < col_end; base += block) {
-    const std::size_t bcols = std::min(block, col_end - base);
-    const ColumnPos first = pos;
-    for (std::size_t t = 0; t < bcols; ++t, pos.advance(g)) {
-      const Window w = make_window(g, pos.th, pos.tw);
-      if (g.in_tiled) build_gather_maps(g, s, w);
-      for (std::size_t c = 0; c < g.channels; ++c) {
-        gather_channel(g, s, w, pos.img, c);
-        if (block == 1) {
-          xf.transform_data(s.d, s.u_blk.subspan(c * nsq, nsq));
-          continue;
-        }
-        xf.transform_data(s.d, s.acc_m);
-        float* lane = s.u_blk.data() + c * nsq * block + t;
-        for (std::size_t e = 0; e < nsq; ++e) lane[e * block] = s.acc_m[e];
-      }
-    }
-
-    const std::size_t full =
-        order == AccumulationOrder::kTransformDomain
-            ? bcols / kRegCols * kRegCols
-            : 0;
-    for (std::size_t k = 0; k < g.kernel_count; ++k) {
-      if (full > 0) coordinate_gemm(g, s, block, full, k);
-      ColumnPos at = first;
-      for (std::size_t t = 0; t < bcols; ++t, at.advance(g)) {
-        if (t >= full) {
-          if (block == 1) {
-            reduce_column<1>(g, s, order, block, t, k);
-          } else {
-            reduce_column<0>(g, s, order, block, t, k);
-          }
-        }
-        if (order == AccumulationOrder::kTransformDomain) {
-          xf.inverse(s.acc_blk.subspan(t * nsq, nsq), s.acc_y);
-        }
-        scatter_tile(g, s.acc_y, at.img, k, at.th, at.tw);
-      }
+    if (col_end - base < kRegCols) block = 1;
+    if (block == 1) {
+      walk_block<1>(g, s, order, 1, 1, pos);
+    } else {
+      walk_block<0>(g, s, order, block, std::min(block, col_end - base),
+                    pos);
     }
   }
 }
@@ -666,9 +706,9 @@ std::size_t validate_scratch(const LayoutConv& g, const WinogradScratch& s) {
   const std::size_t nsq = g.nsq;
   const std::size_t mm = g.mm;
   const std::size_t block = s.acc_blk.size() / nsq;
-  if (s.d.size() != nsq || block == 0 || s.acc_blk.size() != block * nsq ||
-      s.u_blk.size() != g.channels * nsq * block || s.acc_m.size() != nsq ||
-      s.y.size() != mm * mm || s.acc_y.size() != mm * mm ||
+  if (block == 0 || s.acc_blk.size() != block * nsq ||
+      s.u_blk.size() != g.channels * nsq * block ||
+      s.acc_m.size() != nsq || s.acc_y.size() != mm * mm ||
       s.row_tile.size() != g.n || s.row_in.size() != g.n ||
       s.col_off.size() != g.n) {
     throw std::invalid_argument(
@@ -688,7 +728,7 @@ OwnedScratch make_owned_scratch(std::size_t channels, std::size_t n,
                                 std::size_t mm, std::size_t block) {
   const std::size_t nsq = n * n;
   OwnedScratch o;
-  o.f.resize(nsq + (channels + 1) * nsq * block + nsq + 2 * mm * mm);
+  o.f.resize((channels + 1) * nsq * block + nsq + mm * mm);
   o.idx.resize(3 * n);
   float* f = o.f.data();
   const auto take = [&f](std::size_t count) {
@@ -696,11 +736,9 @@ OwnedScratch make_owned_scratch(std::size_t channels, std::size_t n,
     f += count;
     return span;
   };
-  o.s.d = take(nsq);
   o.s.u_blk = take(channels * nsq * block);
   o.s.acc_blk = take(nsq * block);
   o.s.acc_m = take(nsq);
-  o.s.y = take(mm * mm);
   o.s.acc_y = take(mm * mm);
   o.s.row_tile = {o.idx.data(), n};
   o.s.row_in = {o.idx.data() + n, n};

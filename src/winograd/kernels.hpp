@@ -51,8 +51,10 @@ inline constexpr std::size_t kFusedMaxBlockColumns = 16;
 /// GEMM's column register tile. Columns outside a full register tile take
 /// the per-position tail loop, which is unit-stride only at B = 1, so a
 /// block with no full tile runs slower than B = 1 (measured in
-/// bench/fused_pipeline.cpp). The memory planner and
-/// default_block_columns therefore pick B = 1 or B >= this;
+/// bench/fused_pipeline.cpp). The memory planner therefore picks B = 1 or
+/// a multiple of this, and default_block_columns B = 1 or B >= this; the
+/// walks run any block that cannot fill one register tile (a call over
+/// fewer columns, or a call's last columns) at B = 1 in the same scratch.
 /// conv2d_winograd_layout_into accepts any B >= 1 — correctness does not
 /// depend on the width, only speed does.
 inline constexpr std::size_t kFusedMinBlockColumns = 8;
@@ -90,6 +92,34 @@ class TileTransformer {
   /// Y = A^T M A. mm: n*n, y: m*m.
   void inverse(std::span<const float> mm, std::span<float> y) const;
 
+  // The tile walks' transforms (src/winograd/tile_transforms.cpp). Per
+  // element each computes transform_data / inverse bit for bit: the same
+  // float operations in the same order (the first product skips zero
+  // coefficients, the second keeps them and their operand order), so
+  // NaN and Inf propagate exactly as there. The tiles of F(2,3), F(3,3)
+  // and F(4,3) (n = 4, 5, 6) run kernels of fixed extents; any other shape
+  // runs sandwich itself.
+
+  /// U = B^T d B of one tile. d and u hold n*n floats and may alias.
+  void transform_data_tile(const float* d, float* u) const;
+
+  /// Y = A^T M A of one tile. mm holds n*n floats, y m*m; they may alias.
+  void inverse_tile(const float* mm, float* y) const;
+
+  /// U = B^T d B of `lanes` tiles at once, in place: element e of tile t
+  /// lives at bank[e * stride + t] (lanes <= stride), and the result
+  /// replaces it in the same layout. `tile` is n*n floats of staging for
+  /// shapes without a fixed-extent kernel.
+  void transform_data_lanes(float* bank, std::size_t lanes,
+                            std::size_t stride, float* tile) const;
+
+  /// Y = A^T M A of `lanes` tiles at once, in place: M is read from
+  /// acc[e * stride + t] (n*n elements per tile) and Y (m*m elements)
+  /// written over it in the same layout. `tile` as in
+  /// transform_data_lanes.
+  void inverse_lanes(float* acc, std::size_t lanes, std::size_t stride,
+                     float* tile) const;
+
   /// Full tile convolution Y = A^T[(G g G^T) . (B^T d B)]A.
   void convolve_tile(std::span<const float> d, std::span<const float> g,
                      std::span<float> y) const;
@@ -110,12 +140,28 @@ class TileTransformer {
   void sandwich(const FMatrix& mat, std::span<const float> in,
                 std::span<float> out) const;
 
+  // sandwich over `lanes` interleaved tiles (layout as in
+  // transform_data_lanes), each copied through `tile` (cols^2 floats).
+  void sandwich_lanes(const FMatrix& mat, float* io, std::size_t lanes,
+                      std::size_t stride, float* tile) const;
+
+  /// One sandwich's fixed-extent walk kernels; both null for shapes
+  /// without one (the walk transforms then run sandwich).
+  struct SandwichKernels {
+    void (*tile)(const FMatrix& mat, const float* in, float* out) = nullptr;
+    void (*lanes)(const FMatrix& mat, float* io, std::size_t lanes,
+                  std::size_t stride) = nullptr;
+  };
+  static SandwichKernels select_kernels(std::size_t rows, std::size_t cols);
+
   int m_ = 0;
   int r_ = 0;
   int n_ = 0;
   FMatrix bt_;
   FMatrix g_;
   FMatrix at_;
+  SandwichKernels data_;
+  SandwichKernels inv_;
 };
 
 /// Options for layer-level Winograd convolution.
@@ -200,19 +246,21 @@ tensor::PackedActivation conv2d_winograd_layout(
     const TileTransformer& xf, const WinogradConvOptions& opt,
     tensor::LayoutKind out_kind, bool fuse_relu);
 
-/// Caller-provided scratch for conv2d_winograd_layout_into: the data tile
-/// d, the transform bank of one block of B tile columns, the accumulation
-/// tiles, and the tile-form gather maps. Carved out of a workspace slab by
+/// Caller-provided scratch for conv2d_winograd_layout_into: the transform
+/// bank of one block of B tile columns, its accumulators, one staging
+/// tile, and the tile-form gather maps. Carved out of a workspace slab by
 /// nn::carve_winograd_scratch, which is also the single definition of each
 /// span's extent. The block size is B = acc_blk.size() / (n*n) >= 1; at
-/// B = 1 the scratch is one column's bank plus one accumulator tile.
+/// B = 1 the scratch is one column's bank plus one accumulator tile. Tiles
+/// are gathered straight into the bank and transformed in place, and the
+/// accumulators are inverse-transformed in place: the fixed-shape block
+/// transforms stage one register chunk on the stack, so no span grows
+/// with B beyond the bank and the accumulators.
 struct WinogradScratch {
-  std::span<float> d;        ///< n*n gathered input tile
-  std::span<float> u_blk;    ///< [C][n*n][B] transformed data bank
-  std::span<float> acc_blk;  ///< [B][n*n] transform-domain accumulators
-  std::span<float> acc_m;    ///< n*n transform staging / post-inverse product
-  std::span<float> y;        ///< m*m inverse-transformed tile
-  std::span<float> acc_y;    ///< m*m output-domain accumulator
+  std::span<float> u_blk;    ///< [C][n*n][B] gathered, then transformed, data
+  std::span<float> acc_blk;  ///< [n*n][B] transform-domain accumulators
+  std::span<float> acc_m;    ///< n*n post-inverse product / staging tile
+  std::span<float> acc_y;    ///< m*m post-inverse output accumulator
   std::span<std::size_t> row_tile;  ///< tile-form gather: source tile row
   std::span<std::size_t> row_in;    ///< row-within-tile * tile_m
   std::span<std::size_t> col_off;   ///< tile-col * tile_m^2 + col-within

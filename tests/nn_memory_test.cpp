@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -16,6 +17,7 @@
 #include <new>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/random.hpp"
@@ -130,6 +132,81 @@ TEST(MemoryPlanTest, OffsetsAlignedLifetimesDisjointPeakIsHighWater) {
 // scratch — one slab range per layer, its size independent of how many
 // images the chunk walks through the stack (the old code resized a
 // heap-owned panel once per image).
+// Regression pin for the fused block sizing on the benchmark's four pinned
+// plans (perfbench/src/offline.cpp and serve.cpp): every Winograd block is
+// B = 1 or whole register tiles, never wider than the column supply one
+// executor call can hand the walk, and the slab peaks stay at or under the
+// values these plans had before blocks were rounded to register tiles.
+TEST(MemoryPlanTest, PinnedBenchmarkPlansSizeWholeRegisterTileBlocks) {
+  struct Pinned {
+    const char* name;
+    std::size_t scale;
+    std::vector<std::string> algos;
+    std::size_t peak1;
+    std::size_t peak8;
+  };
+  const Pinned pinned[] = {
+      {"offline-fp32",
+       7,
+       {"im2col", "w4", "w4", "w4", "w4", "w4", "w4", "w4", "w4", "w4", "w2",
+        "w2", "w2"},
+       143360,
+       526336},
+      {"offline-int8",
+       7,
+       {"i8w2", "int8", "int8", "int8", "int8", "int8", "int8", "i8w2",
+        "int8", "int8", "i8w2", "int8", "int8"},
+       181312,
+       640064},
+      {"serve-mix small",
+       28,
+       {"im2col", "w4", "w4", "w4", "w2", "w2", "w2", "w2", "w2", "w2", "w2",
+        "w2", "w2"},
+       8960,
+       34816},
+      {"serve-mix large",
+       14,
+       {"im2col", "w4", "w4", "w4", "w4", "w4", "w4", "w2", "w2", "w2", "w2",
+        "w2", "w2"},
+       35840,
+       133120},
+  };
+  for (const Pinned& p : pinned) {
+    const auto layers = vgg16_d_scaled(p.scale, 8);
+    ExecutionPlan plan = uniform_plan(layers, ConvAlgo::kIm2col);
+    std::size_t ci = 0;
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+      if (layers[i].kind == LayerKind::kConv) {
+        plan.steps[i].algo = parse_conv_algo(p.algos[ci++]);
+      }
+    }
+    ASSERT_EQ(ci, p.algos.size()) << p.name;
+    replan_layouts(plan);
+    ASSERT_FALSE(plan.memory.empty()) << p.name;
+    const std::size_t chunk =
+        std::min<std::size_t>(8, plan_batch_ceiling(plan));
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+      const std::size_t block = plan.memory.step_block_columns[i];
+      EXPECT_TRUE(block == 1 ||
+                  block % winograd::kFusedMinBlockColumns == 0)
+          << p.name << " step " << i << " B=" << block;
+      if (block == 1) continue;
+      const LayerPlan& step = plan.steps[i];
+      int m = winograd_m(step.algo);
+      if (m == 0) m = int8_winograd_m(step.algo);
+      ASSERT_GT(m, 0) << p.name << " step " << i << " is not Winograd";
+      const ConvLayerSpec& l = layers[i].conv;
+      const auto mu = static_cast<std::size_t>(m);
+      const std::size_t oh = l.h + 2 * static_cast<std::size_t>(l.pad) - l.r + 1;
+      const std::size_t ow = l.w + 2 * static_cast<std::size_t>(l.pad) - l.r + 1;
+      const std::size_t tiles = ((oh + mu - 1) / mu) * ((ow + mu - 1) / mu);
+      EXPECT_LE(block, tiles * chunk) << p.name << " step " << i;
+    }
+    EXPECT_LE(plan.memory.peak_bytes(1), p.peak1) << p.name;
+    EXPECT_LE(plan.memory.peak_bytes(8), p.peak8) << p.name;
+  }
+}
+
 TEST(MemoryPlanTest, Im2colPanelIsFixedPerLayerScratch) {
   const auto layers = vgg16_d_scaled(14, 16);
   const ExecutionPlan plan = uniform_plan(layers, ConvAlgo::kIm2col);

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <vector>
 
 #include "common/random.hpp"
@@ -207,16 +208,18 @@ TEST(TileWalk, RejectsScratchWithoutAColumnOrWithMismatchedBanks) {
 // -------------------------------------------------------------------------
 
 std::int8_t golden_quantize(float v, float inv) {
-  const float q = std::nearbyint(v * inv);
+  const float x = v * inv;
+  if (std::isnan(x)) return 0;
+  const float q = std::nearbyint(x);
   return static_cast<std::int8_t>(std::clamp(q, -127.0F, 127.0F));
 }
 
-/// Golden per-tile formulation of quant::conv2d_winograd_int8_into for
-/// finite inputs: per tile, fp32 transforms of every channel, one scale per
-/// position from the largest |U| across channels, nearbyint quantization,
-/// the int32 channel sum per position, per-position dequantization, fp32
-/// inverse and clipped scatter. The production walk regroups the same
-/// per-tile arithmetic into blocks of tile columns.
+/// Golden per-tile formulation of quant::conv2d_winograd_int8_into: per
+/// tile, fp32 transforms of every channel, one scale per position from the
+/// largest finite |U| across channels, nearbyint quantization (NaN to 0,
+/// +/-Inf saturating), the int32 channel sum per position, per-position
+/// dequantization, fp32 inverse and clipped scatter. The production walk
+/// regroups the same per-tile arithmetic into blocks of tile columns.
 std::vector<float> golden_winograd_int8(
     const Tensor4f& input, const wino::quant::QuantizedWinogradKernels& qk,
     const TileTransformer& xf, int pad, bool relu) {
@@ -247,7 +250,8 @@ std::vector<float> golden_winograd_int8(
         for (std::size_t i = 0; i < nsq; ++i) {
           float pos_max = 0.0F;
           for (std::size_t c = 0; c < is.c; ++c) {
-            pos_max = std::max(pos_max, std::abs(u[c * nsq + i]));
+            const float a = std::abs(u[c * nsq + i]);
+            if (std::isfinite(a)) pos_max = std::max(pos_max, a);
           }
           sv[i] = pos_max / 127.0F;
           const float inv = pos_max > 0.0F ? 127.0F / pos_max : 0.0F;
@@ -286,7 +290,6 @@ TEST(TileWalk, Int8EveryBlockSizeBitIdenticalToGoldenPerTileWalk) {
   for (const int m : {2, 4}) {
     const TileTransformer xf(transforms(m, 3));
     const auto n = static_cast<std::size_t>(xf.tile());
-    const auto mm = static_cast<std::size_t>(m);
     Rng rng(100 + m);
     const Tensor4f input = random_tensor(2, 5, 9, 7, rng);
     const Tensor4f kernels = random_tensor(4, 5, 3, 3, rng);
@@ -306,12 +309,11 @@ TEST(TileWalk, Int8EveryBlockSizeBitIdenticalToGoldenPerTileWalk) {
           golden_winograd_int8(input, qk, xf, 1, relu);
       for (const std::size_t block : {1u, 2u, 3u, 8u, 16u}) {
         wino::nn::ByteCarver measure;
-        (void)wino::nn::carve_quant_winograd_scratch(measure, 5, n, mm,
-                                                     block);
+        (void)wino::nn::carve_quant_winograd_scratch(measure, 5, n, block);
         std::vector<std::byte> bytes(measure.used());
         wino::nn::ByteCarver carver(bytes);
         const QuantWinogradScratch s =
-            wino::nn::carve_quant_winograd_scratch(carver, 5, n, mm, block);
+            wino::nn::carve_quant_winograd_scratch(carver, 5, n, block);
         std::vector<float> got(want.size(), -2.0F);
         conv2d_winograd_int8_into(view, qk, xf, 1, 0.0F, relu, got, s);
         EXPECT_EQ(std::memcmp(got.data(), want.data(),
@@ -319,6 +321,128 @@ TEST(TileWalk, Int8EveryBlockSizeBitIdenticalToGoldenPerTileWalk) {
                   0)
             << "m=" << m << " B=" << block << " relu=" << relu;
       }
+    }
+  }
+}
+
+// -------------------------------------------------------------------------
+// Hostile inputs: NaN, +/-Inf and all-zero images through every walk
+// -------------------------------------------------------------------------
+
+/// The NaN the hardware generates (Inf - Inf). Which of two NaNs of
+/// different bits an add returns depends on the operand order the compiler
+/// picked, which C++ does not pin; with every NaN equal to the generated
+/// one, each output is defined bit for bit.
+float generated_nan() {
+  volatile float inf = std::numeric_limits<float>::infinity();
+  return inf - inf;
+}
+
+/// `batch` images cycling through four kinds: all NaN; uniform values with
+/// NaN and +/-Inf sprinkled in; all zero; plain uniform values.
+Tensor4f hostile_batch(std::size_t batch, std::size_t c, std::size_t h,
+                       std::size_t w, Rng& rng) {
+  Tensor4f t = random_tensor(batch, c, h, w, rng);
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::size_t volume = c * h * w;
+  for (std::size_t img = 0; img < batch; ++img) {
+    const auto image = t.flat().subspan(img * volume, volume);
+    for (float& v : image) {
+      switch (img % 4) {
+        case 0:
+          v = generated_nan();
+          break;
+        case 1: {
+          const std::int64_t pick = rng.uniform_int(0, 7);
+          if (pick == 0) v = generated_nan();
+          if (pick == 1) v = inf;
+          if (pick == 2) v = -inf;
+          break;
+        }
+        case 2:
+          v = 0.0F;
+          break;
+        default:
+          break;
+      }
+    }
+  }
+  return t;
+}
+
+TEST(HostileInputs, WalkBitIdenticalToReferenceAtEveryBlockSize) {
+  Rng rng(31);
+  for (const int m : {2, 3, 4}) {
+    const TileTransformer xf(transforms(m, 3));
+    const auto mm = static_cast<std::size_t>(m);
+    const Tensor4f input = hostile_batch(4, 3, 9, 7, rng);
+    const Tensor4f kernels = random_tensor(4, 3, 3, 3, rng);
+    const TransformedKernels tk(xf, kernels);
+    const Layout il = Layout::nchw(input.shape());
+    const Layout ol = Layout::nchw({4, 4, 9, 7});
+    for (const AccumulationOrder order :
+         {AccumulationOrder::kTransformDomain,
+          AccumulationOrder::kPostInverse}) {
+      WinogradConvOptions opt;
+      opt.pad = 1;
+      opt.accumulation = order;
+      const Tensor4f want = conv2d_winograd(input, tk, xf, opt);
+      for (const std::size_t block : {1u, 8u, 16u}) {
+        const CarvedScratch sc = carve_scratch(3, xf, block);
+        Tensor4f got(4, 4, 9, 7, -1.0F);
+        conv2d_winograd_layout_into(il, input.flat(), tk, xf, opt, ol,
+                                    got.flat(), false, sc.s);
+        EXPECT_TRUE(bit_identical(got, want))
+            << "m=" << mm << " post_inverse="
+            << (order == AccumulationOrder::kPostInverse) << " B=" << block;
+      }
+    }
+  }
+}
+
+TEST(HostileInputs, Int8WalkBitIdenticalToGoldenPerTileWalk) {
+  Rng rng(32);
+  for (const int m : {2, 4}) {
+    const TileTransformer xf(transforms(m, 3));
+    const auto n = static_cast<std::size_t>(xf.tile());
+    const Tensor4f input = hostile_batch(4, 5, 9, 7, rng);
+    const Tensor4f kernels = random_tensor(4, 5, 3, 3, rng);
+    const auto qk = wino::quant::quantize_winograd_kernels(xf, kernels);
+    const wino::tensor::Tensor4fView view(input.shape(), input.flat());
+    const std::vector<float> want = golden_winograd_int8(input, qk, xf, 1,
+                                                         true);
+    for (const std::size_t block : {1u, 8u, 16u}) {
+      wino::nn::ByteCarver measure;
+      (void)wino::nn::carve_quant_winograd_scratch(measure, 5, n, block);
+      std::vector<std::byte> bytes(measure.used());
+      wino::nn::ByteCarver carver(bytes);
+      const auto s =
+          wino::nn::carve_quant_winograd_scratch(carver, 5, n, block);
+      std::vector<float> got(want.size(), -2.0F);
+      wino::quant::conv2d_winograd_int8_into(view, qk, xf, 1, 0.0F, true,
+                                             got, s);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            want.size() * sizeof(float)),
+                0)
+          << "m=" << m << " B=" << block;
+    }
+  }
+}
+
+TEST(HostileInputs, PlannedForwardBitIdenticalToReference) {
+  const auto layers = wino::nn::vgg16_d_scaled(14, 16);
+  const auto weights = wino::nn::random_weights(layers, 33);
+  Rng rng(34);
+  for (const auto algo :
+       {wino::nn::ConvAlgo::kWinograd2, wino::nn::ConvAlgo::kWinograd3,
+        wino::nn::ConvAlgo::kWinograd4}) {
+    const wino::nn::ExecutionPlan plan = wino::nn::uniform_plan(layers, algo);
+    for (const std::size_t batch : {1u, 8u}) {
+      const Tensor4f in = hostile_batch(batch, 3, 16, 16, rng);
+      const Tensor4f want = wino::nn::forward_reference(plan, weights, in);
+      const Tensor4f got = wino::nn::forward(plan, weights, in);
+      EXPECT_TRUE(bit_identical(got, want))
+          << wino::nn::to_string(algo) << " batch=" << batch;
     }
   }
 }

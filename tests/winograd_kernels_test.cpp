@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "common/random.hpp"
 #include "conv/spatial.hpp"
 
@@ -242,6 +246,108 @@ TEST(Conv2dWinograd, RejectsKernelBankFromDifferentTile) {
   EXPECT_THROW(conv2d_winograd(input, tk2, xf4, {}),
                std::invalid_argument);
   EXPECT_NO_THROW(conv2d_winograd(input, tk2, xf2, {}));
+}
+
+// -------------------------------------------------------------------------
+// The tile walks' transforms against transform_data / inverse, bit for bit
+// -------------------------------------------------------------------------
+
+/// The NaN the hardware generates (Inf - Inf). When two NaNs of different
+/// bits meet in an add, which one comes out depends on the operand order
+/// of the instruction the compiler picked, which C++ does not pin; with
+/// every NaN of a test equal to the generated one, each result is defined
+/// bit for bit.
+float generated_nan() {
+  volatile float inf = std::numeric_limits<float>::infinity();
+  return inf - inf;
+}
+
+/// A value for a hostile tile: mostly uniform in [-2, 2), with +/-0,
+/// subnormals, +/-Inf and NaN mixed in.
+float hostile_value(Rng& rng) {
+  using limits = std::numeric_limits<float>;
+  const float special[] = {0.0F,
+                           -0.0F,
+                           limits::denorm_min(),
+                           -3.0F * limits::denorm_min(),
+                           limits::min() / 8.0F,
+                           limits::infinity(),
+                           -limits::infinity(),
+                           generated_nan()};
+  const std::int64_t pick = rng.uniform_int(0, 3 * std::size(special) - 1);
+  return pick < static_cast<std::int64_t>(std::size(special))
+             ? special[pick]
+             : rng.uniform(-2.0F, 2.0F);
+}
+
+std::vector<float> hostile_values(std::size_t count, Rng& rng) {
+  std::vector<float> v(count);
+  for (float& x : v) x = hostile_value(rng);
+  return v;
+}
+
+bool same_bytes(const float* a, const float* b, std::size_t count) {
+  return std::memcmp(a, b, count * sizeof(float)) == 0;
+}
+
+TEST(TileTransforms, MatchTransformDataAndInverseBitForBit) {
+  Rng rng(2024);
+  for (const int r : {3, 5}) {
+    for (const int m : {2, 3, 4}) {
+      const TileTransformer xf(transforms(m, r));
+      const auto n = static_cast<std::size_t>(xf.tile());
+      const std::size_t nsq = n * n;
+      const std::size_t msq = static_cast<std::size_t>(m * m);
+      std::vector<float> want(nsq);
+      std::vector<float> tile(nsq);
+      // One tile, separate and aliased output.
+      for (int rep = 0; rep < 64; ++rep) {
+        const std::vector<float> d = hostile_values(nsq, rng);
+        std::vector<float> got(nsq);
+        xf.transform_data(d, want);
+        xf.transform_data_tile(d.data(), got.data());
+        EXPECT_TRUE(same_bytes(got.data(), want.data(), nsq))
+            << "data m=" << m << " r=" << r;
+        got = d;
+        xf.transform_data_tile(got.data(), got.data());
+        EXPECT_TRUE(same_bytes(got.data(), want.data(), nsq))
+            << "data in place m=" << m << " r=" << r;
+        xf.inverse(d, std::span(want).first(msq));
+        got = d;
+        xf.inverse_tile(got.data(), got.data());
+        EXPECT_TRUE(same_bytes(got.data(), want.data(), msq))
+            << "inverse m=" << m << " r=" << r;
+      }
+      // Interleaved lanes: every count 1..16, at a stride wider than the
+      // lane count so lanes past `lanes` must come through untouched.
+      for (std::size_t lanes = 1; lanes <= 16; ++lanes) {
+        const std::size_t stride = lanes + 3;
+        const std::vector<float> bank = hostile_values(nsq * stride, rng);
+        std::vector<float> data = bank;
+        std::vector<float> inv = bank;
+        xf.transform_data_lanes(data.data(), lanes, stride, tile.data());
+        xf.inverse_lanes(inv.data(), lanes, stride, tile.data());
+        std::vector<float> want_data = bank;
+        std::vector<float> want_inv = bank;
+        std::vector<float> lane(nsq);
+        for (std::size_t t = 0; t < lanes; ++t) {
+          for (std::size_t e = 0; e < nsq; ++e) lane[e] = bank[e * stride + t];
+          xf.transform_data(lane, want);
+          for (std::size_t e = 0; e < nsq; ++e) {
+            want_data[e * stride + t] = want[e];
+          }
+          xf.inverse(lane, std::span(want).first(msq));
+          for (std::size_t e = 0; e < msq; ++e) {
+            want_inv[e * stride + t] = want[e];
+          }
+        }
+        EXPECT_TRUE(same_bytes(data.data(), want_data.data(), data.size()))
+            << "data lanes m=" << m << " r=" << r << " lanes=" << lanes;
+        EXPECT_TRUE(same_bytes(inv.data(), want_inv.data(), inv.size()))
+            << "inverse lanes m=" << m << " r=" << r << " lanes=" << lanes;
+      }
+    }
+  }
 }
 
 }  // namespace
