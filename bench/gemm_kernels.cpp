@@ -9,12 +9,12 @@
 //     ikj        the pre-PR2 in-repo GEMM loop order (row-streaming,
 //                auto-vectorisable) for an honest middle baseline
 //     blocked    the cache-blocked packed core, scalar micro-kernel forced
-//     blocked+SIMD  the same core with the compiled-in micro-kernel
+//     blocked+SIMD  the same core with the dispatched micro-kernel
 //                   (sgemm_kernel_name(): avx2/neon; equals "blocked" when
-//                   only the scalar fallback is compiled in)
+//                   the registry dispatches the scalar micro-kernel)
 //
 //   igemm section (informational, no gate): runtime::igemm_nt GOP/s with
-//   the compiled-in blocked micro-kernel (kAuto, igemm_kernel_name()) and
+//   the dispatched blocked micro-kernel (kAuto, igemm_kernel_name()) and
 //   the widening scalar oracle (kScalar), single thread, at the int8
 //   im2col GEMM shapes of the quick scaled VGG-16 (m = output channels,
 //   n = output pixels, k = C * 3 * 3).

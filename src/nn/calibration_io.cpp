@@ -9,27 +9,11 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/kernel_registry.hpp"
+
 namespace wino::nn {
 
 namespace {
-
-/// Compile-time ISA tag: measurements made with wider vectors enabled do
-/// not transfer to a build (or machine) without them.
-const char* isa_tag() {
-#if defined(__AVX512F__)
-  return "avx512";
-#elif defined(__AVX2__)
-  return "avx2";
-#elif defined(__AVX__)
-  return "avx";
-#elif defined(__SSE4_2__)
-  return "sse42";
-#elif defined(__ARM_NEON)
-  return "neon";
-#else
-  return "generic";
-#endif
-}
 
 std::string cpu_model_name() {
   std::ifstream cpuinfo("/proc/cpuinfo");
@@ -88,7 +72,7 @@ bool plausible(const AlgoCalibration& c) {
 std::string calibration_cpu_signature() {
   std::ostringstream sig;
   sig << cpu_model_name() << " | cores=" << std::thread::hardware_concurrency()
-      << " | isa=" << isa_tag();
+      << " | isa=" << runtime::active_kernel_set().name;
   return sig.str();
 }
 

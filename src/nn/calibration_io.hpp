@@ -6,10 +6,10 @@
 //
 // Timings only transfer between identical machines running identical
 // code, so the file is keyed: it embeds a CPU signature (model name +
-// core count + ISA tag) and a code hash (planner revision + compiler
-// version), and load_measured_state() refuses a file whose key does not
-// match the running process. Stale or foreign measurements silently fall
-// back to a fresh probe — never to wrong plans.
+// core count + dispatched kernel set) and a code hash (planner revision +
+// compiler version), and load_measured_state() refuses a file whose key
+// does not match the running process. Stale or foreign measurements
+// silently fall back to a fresh probe — never to wrong plans.
 //
 // File format ("winocal", version 1) — line-oriented text:
 //   winocal 1
@@ -31,7 +31,9 @@
 namespace wino::nn {
 
 /// Identity of this machine for calibration keying: CPU model name (from
-/// /proc/cpuinfo where available), core count and compile-time ISA tag.
+/// /proc/cpuinfo where available), core count and the name of the kernel
+/// set the registry dispatches (runtime/kernel_registry.hpp), e.g.
+/// "model | cores=4 | isa=avx2".
 [[nodiscard]] std::string calibration_cpu_signature();
 
 /// Identity of this build's measurement semantics: bump the embedded

@@ -1,12 +1,12 @@
 // Shared cache-blocked SIMD SGEMM core for every matmul in the repo.
 //
-// One kernel serves the im2col lowering, the (m+r-1)^2 batched transform-
-// domain GEMMs of the Winograd formulation, the hw engine's batched inverse
+// One kernel serves the im2col lowering, the hw engine's batched inverse
 // transforms and large common::Matrix<float> products. The design follows
 // the BLIS decomposition: B is packed into NR-wide column panels per
 // (Nc, Kc) block, A is packed into an MR-row panel held in L1, and an
-// MR x NR register-tiled micro-kernel (AVX2 / NEON / portable scalar,
-// selected at compile time) walks the Kc reduction.
+// MR x NR register-tiled micro-kernel (AVX2 / NEON / portable scalar)
+// walks the Kc reduction. The kernels are compiled once per kernel set
+// and the active set is chosen at run time (runtime/kernel_registry.hpp).
 //
 // Determinism contract (pinned by tests/runtime_gemm_test.cpp):
 //  * Every output element accumulates its K products in ascending-k order,
@@ -20,18 +20,19 @@
 //    entries), never the K reduction, so any thread count is bit-identical.
 //  * The SIMD micro-kernels use mul+add (not fused multiply-add) so the
 //    vector lanes round exactly like the scalar fallback: forcing
-//    GemmKernel::kScalar reproduces the kAuto result bit-for-bit.
+//    GemmKernel::kScalar reproduces the kAuto result bit-for-bit, and
+//    every kernel set reproduces every other.
 #pragma once
 
 #include <cstddef>
 
 namespace wino::runtime {
 
-/// Micro-kernel selection. kAuto picks the best compiled-in instruction
-/// set (AVX2 on x86 with -mavx2/-march=native, NEON on aarch64, scalar
-/// otherwise); kScalar forces the portable fallback. Both produce
-/// bit-identical results — the switch exists for benchmarking and for
-/// pinning that equivalence in tests.
+/// Micro-kernel selection. kAuto runs the active kernel set's widest
+/// micro-kernel (AVX2 on x86-64 hosts that have it, NEON on aarch64,
+/// scalar otherwise); kScalar forces the portable scalar micro-kernel of
+/// the baseline set. Both produce bit-identical results — the switch
+/// exists for benchmarking and for pinning that equivalence in tests.
 enum class GemmKernel {
   kAuto,
   kScalar,
@@ -64,30 +65,12 @@ void sgemm_naive(std::size_t m, std::size_t n, std::size_t k, float alpha,
                  const float* a, std::size_t lda, const float* b,
                  std::size_t ldb, float beta, float* c, std::size_t ldc);
 
-/// \brief `count` independent GEMMs of identical shape at fixed strides
-/// between consecutive A/B/C operands (the Winograd transform-domain
-/// layout).
-///
-/// Parallelises across the batch; each member is bit-identical to a lone
-/// sgemm call on the same operands.
-///
-/// \param count                        number of GEMMs in the batch.
-/// \param stride_a,stride_b,stride_c   element offsets between operand i
-///                                     and operand i+1 of A, B and C.
-/// The remaining parameters match sgemm() and apply to every member.
-void sgemm_batched(std::size_t count, std::size_t m, std::size_t n,
-                   std::size_t k, float alpha, const float* a,
-                   std::size_t lda, std::size_t stride_a, const float* b,
-                   std::size_t ldb, std::size_t stride_b, float beta,
-                   float* c, std::size_t ldc, std::size_t stride_c,
-                   GemmKernel kernel = GemmKernel::kAuto);
-
-/// Name of the micro-kernel kAuto dispatches to: "avx2", "neon" or
-/// "scalar". Fixed at compile time.
+/// Name of the micro-kernel kAuto dispatches to on the active kernel set:
+/// "avx2", "neon" or "scalar".
 const char* sgemm_kernel_name();
 
-/// The compile-time blocking parameters (micro-tile MR x NR, reduction
-/// panel Kc, column block Nc), exposed for benches and docs.
+/// The blocking parameters of that micro-kernel (micro-tile MR x NR,
+/// reduction panel Kc, column block Nc), exposed for benches and docs.
 struct GemmBlocking {
   std::size_t mr;
   std::size_t nr;

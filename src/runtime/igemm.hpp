@@ -39,9 +39,9 @@
 namespace wino::runtime {
 
 /// Micro-kernel selection for igemm_nt. kAuto runs the register-blocked
-/// kernel on the best compiled-in instruction set (AVX2 with
-/// -mavx2/-march=native, SSE2 on any x86-64, portable integers
-/// otherwise); kScalar forces one widening dot product per output, the
+/// kernel of the active kernel set (runtime/kernel_registry.hpp: AVX2 on
+/// x86-64 hosts that have it, else SSE2 on x86-64, portable integers
+/// elsewhere); kScalar forces one widening dot product per output, the
 /// oracle form. Both are bit-identical — integer accumulation is exact —
 /// so the switch exists for benchmarking and for pinning that equivalence.
 enum class IGemmKernel {
@@ -80,8 +80,8 @@ void igemm_nt_ref(std::size_t m, std::size_t n, std::size_t k,
                   const std::int8_t* a, std::size_t lda, const std::int8_t* b,
                   std::size_t ldb, std::int32_t* c, std::size_t ldc);
 
-/// Name of the micro-kernel kAuto dispatches to: "avx2", "sse2" or
-/// "scalar". Fixed at compile time.
+/// Name of the micro-kernel kAuto dispatches to on the active kernel set:
+/// "avx2", "sse2" or "scalar".
 const char* igemm_kernel_name();
 
 }  // namespace wino::runtime

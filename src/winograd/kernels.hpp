@@ -92,13 +92,13 @@ class TileTransformer {
   /// Y = A^T M A. mm: n*n, y: m*m.
   void inverse(std::span<const float> mm, std::span<float> y) const;
 
-  // The tile walks' transforms (src/winograd/tile_transforms.cpp). Per
-  // element each computes transform_data / inverse bit for bit: the same
-  // float operations in the same order (the first product skips zero
-  // coefficients, the second keeps them and their operand order), so
-  // NaN and Inf propagate exactly as there. The tiles of F(2,3), F(3,3)
-  // and F(4,3) (n = 4, 5, 6) run kernels of fixed extents; any other shape
-  // runs sandwich itself.
+  // The tile walks' transforms (src/winograd/tile_transforms.cpp, run on
+  // the active kernel set). Per element each computes transform_data /
+  // inverse bit for bit: the same float operations in the same order (the
+  // first product skips zero coefficients, the second keeps them and their
+  // operand order), so NaN and Inf propagate exactly as there. The tiles
+  // of F(2,3), F(3,3) and F(4,3) (n = 4, 5, 6) run kernels of fixed
+  // extents; any other shape runs sandwich itself.
 
   /// U = B^T d B of one tile. d and u hold n*n floats and may alias.
   void transform_data_tile(const float* d, float* u) const;
@@ -141,18 +141,10 @@ class TileTransformer {
                 std::span<float> out) const;
 
   // sandwich over `lanes` interleaved tiles (layout as in
-  // transform_data_lanes), each copied through `tile` (cols^2 floats).
+  // transform_data_lanes) on the active set's fixed-extent kernel, or one
+  // lane at a time through `tile` (cols^2 floats) for other shapes.
   void sandwich_lanes(const FMatrix& mat, float* io, std::size_t lanes,
                       std::size_t stride, float* tile) const;
-
-  /// One sandwich's fixed-extent walk kernels; both null for shapes
-  /// without one (the walk transforms then run sandwich).
-  struct SandwichKernels {
-    void (*tile)(const FMatrix& mat, const float* in, float* out) = nullptr;
-    void (*lanes)(const FMatrix& mat, float* io, std::size_t lanes,
-                  std::size_t stride) = nullptr;
-  };
-  static SandwichKernels select_kernels(std::size_t rows, std::size_t cols);
 
   int m_ = 0;
   int r_ = 0;
@@ -160,8 +152,6 @@ class TileTransformer {
   FMatrix bt_;
   FMatrix g_;
   FMatrix at_;
-  SandwichKernels data_;
-  SandwichKernels inv_;
 };
 
 /// Options for layer-level Winograd convolution.

@@ -1,8 +1,10 @@
 // The tile walks' data and inverse transforms: out = mat * in * mat^T for
 // one tile (B = 1) or for a block of tiles interleaved lane by lane
 // (B > 1), with fixed extents for the 4-, 5- and 6-point tiles of
-// F(2,3), F(3,3) and F(4,3). Other shapes run sandwich itself, one tile
-// (or one lane, copied through a caller's n*n tile) at a time.
+// F(2,3), F(3,3) and F(4,3). Other shapes run TileTransformer::sandwich
+// itself, one tile (or one lane, copied through a caller's n*n tile) at a
+// time. A kernel source: compiled once per kernel set
+// (runtime/kernel_registry.hpp), each copy exporting its kTileKernels.
 //
 // Every kernel evaluates each output element exactly as
 // TileTransformer::sandwich does: the first product starts at 0 and adds
@@ -16,16 +18,15 @@
 // element's operations.
 #include <cstring>
 
-#include "winograd/kernels.hpp"
+#include "winograd/walk.hpp"
 
-namespace wino::winograd {
+namespace wino::winograd::WINO_KERNEL_ISA {
 namespace {
 
-/// One tile at fixed extents: mat is R x N, in N x N, out R x R. in and out
+/// One tile at fixed extents: a is R x N, in N x N, out R x R. in and out
 /// may alias — the first product reads all of in before out is written.
 template <std::size_t R, std::size_t N>
-void fixed_tile(const FMatrix& mat, const float* in, float* out) {
-  const float* a = &mat(0, 0);
+void fixed_tile(const float* a, const float* in, float* out) {
   float tmp[R * N];
   for (std::size_t i = 0; i < R; ++i) {
     float* row = tmp + i * N;
@@ -46,7 +47,7 @@ void fixed_tile(const FMatrix& mat, const float* in, float* out) {
 }
 
 /// Tiles per register chunk of the block form, and their vector: one
-/// element of kLaneChunk adjacent tiles in one SSE register. The vector
+/// element of kLaneChunk adjacent tiles in one 128-bit register. The vector
 /// extension's + and * are the scalar IEEE operations applied lane by
 /// lane, so a lane computes exactly what the scalar kernel computes for
 /// its tile.
@@ -96,9 +97,8 @@ void fixed_chunk(const float* a, const float* in, std::size_t in_stride,
 /// The block form at fixed extents: full register chunks in place, then
 /// the remaining lanes through a zero-padded chunk on the stack.
 template <std::size_t R, std::size_t N>
-void fixed_lanes(const FMatrix& mat, float* io, std::size_t lanes,
+void fixed_lanes(const float* a, float* io, std::size_t lanes,
                  std::size_t stride) {
-  const float* a = &mat(0, 0);
   std::size_t t = 0;
   for (; t + kLaneChunk <= lanes; t += kLaneChunk) {
     fixed_chunk<R, N>(a, io + t, stride, io + t, stride);
@@ -119,69 +119,49 @@ void fixed_lanes(const FMatrix& mat, float* io, std::size_t lanes,
   }
 }
 
+/// The fixed-extent kernels of one sandwich matrix shape.
+struct Fixed {
+  std::size_t rows, cols;
+  void (*tile)(const float* a, const float* in, float* out);
+  void (*lanes)(const float* a, float* io, std::size_t lanes,
+                std::size_t stride);
+};
+
+constexpr Fixed kFixed[] = {
+    {4, 4, fixed_tile<4, 4>, fixed_lanes<4, 4>},
+    {5, 5, fixed_tile<5, 5>, fixed_lanes<5, 5>},
+    {6, 6, fixed_tile<6, 6>, fixed_lanes<6, 6>},
+    {2, 4, fixed_tile<2, 4>, fixed_lanes<2, 4>},
+    {3, 5, fixed_tile<3, 5>, fixed_lanes<3, 5>},
+    {4, 6, fixed_tile<4, 6>, fixed_lanes<4, 6>},
+};
+
+const Fixed* find_fixed(std::size_t rows, std::size_t cols) {
+  for (const Fixed& f : kFixed) {
+    if (f.rows == rows && f.cols == cols) return &f;
+  }
+  return nullptr;
+}
+
+bool tile_kernel(const float* a, std::size_t rows, std::size_t cols,
+                 const float* in, float* out) {
+  const Fixed* f = find_fixed(rows, cols);
+  if (f == nullptr) return false;
+  f->tile(a, in, out);
+  return true;
+}
+
+bool lanes_kernel(const float* a, std::size_t rows, std::size_t cols,
+                  float* io, std::size_t lanes, std::size_t stride) {
+  const Fixed* f = find_fixed(rows, cols);
+  if (f == nullptr) return false;
+  f->lanes(a, io, lanes, stride);
+  return true;
+}
+
 }  // namespace
 
-TileTransformer::SandwichKernels TileTransformer::select_kernels(
-    std::size_t rows, std::size_t cols) {
-  const auto fixed = [&](std::size_t r, std::size_t c) {
-    return rows == r && cols == c;
-  };
-  if (fixed(4, 4)) return {fixed_tile<4, 4>, fixed_lanes<4, 4>};
-  if (fixed(5, 5)) return {fixed_tile<5, 5>, fixed_lanes<5, 5>};
-  if (fixed(6, 6)) return {fixed_tile<6, 6>, fixed_lanes<6, 6>};
-  if (fixed(2, 4)) return {fixed_tile<2, 4>, fixed_lanes<2, 4>};
-  if (fixed(3, 5)) return {fixed_tile<3, 5>, fixed_lanes<3, 5>};
-  if (fixed(4, 6)) return {fixed_tile<4, 6>, fixed_lanes<4, 6>};
-  return {};
-}
+extern const TileKernels kTileKernels{.tile = tile_kernel,
+                                      .lanes = lanes_kernel};
 
-void TileTransformer::sandwich_lanes(const FMatrix& mat, float* io,
-                                     std::size_t lanes, std::size_t stride,
-                                     float* tile) const {
-  const std::size_t in_size = mat.cols() * mat.cols();
-  const std::size_t out_size = mat.rows() * mat.rows();
-  for (std::size_t t = 0; t < lanes; ++t) {
-    for (std::size_t e = 0; e < in_size; ++e) tile[e] = io[e * stride + t];
-    sandwich(mat, {tile, in_size}, {tile, out_size});
-    for (std::size_t e = 0; e < out_size; ++e) io[e * stride + t] = tile[e];
-  }
-}
-
-void TileTransformer::transform_data_tile(const float* d, float* u) const {
-  if (data_.tile != nullptr) {
-    data_.tile(bt_, d, u);
-    return;
-  }
-  const auto nsq = static_cast<std::size_t>(n_ * n_);
-  sandwich(bt_, {d, nsq}, {u, nsq});
-}
-
-void TileTransformer::inverse_tile(const float* mm, float* y) const {
-  if (inv_.tile != nullptr) {
-    inv_.tile(at_, mm, y);
-    return;
-  }
-  sandwich(at_, {mm, static_cast<std::size_t>(n_ * n_)},
-           {y, static_cast<std::size_t>(m_ * m_)});
-}
-
-void TileTransformer::transform_data_lanes(float* bank, std::size_t lanes,
-                                           std::size_t stride,
-                                           float* tile) const {
-  if (data_.lanes != nullptr) {
-    data_.lanes(bt_, bank, lanes, stride);
-  } else {
-    sandwich_lanes(bt_, bank, lanes, stride, tile);
-  }
-}
-
-void TileTransformer::inverse_lanes(float* acc, std::size_t lanes,
-                                    std::size_t stride, float* tile) const {
-  if (inv_.lanes != nullptr) {
-    inv_.lanes(at_, acc, lanes, stride);
-  } else {
-    sandwich_lanes(at_, acc, lanes, stride, tile);
-  }
-}
-
-}  // namespace wino::winograd
+}  // namespace wino::winograd::WINO_KERNEL_ISA

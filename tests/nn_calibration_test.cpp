@@ -1,6 +1,7 @@
 // Calibration-persistence contract (nn/calibration_io.*): exact round-trip
 // of the measured state through the versioned on-disk format, refusal of
-// files keyed to a different CPU signature / code hash / format version,
+// files keyed to a different CPU signature (kernel set included) / code
+// hash / format version,
 // graceful fallback on corruption (load fails, nothing half-imported,
 // never crashes) — and the acceptance-critical pin that a warm cache lets
 // a server register a planned model without running a single
@@ -16,6 +17,7 @@
 #include "nn/calibration_io.hpp"
 #include "nn/network.hpp"
 #include "nn/plan.hpp"
+#include "runtime/kernel_registry.hpp"
 #include "serve/inference_server.hpp"
 
 namespace {
@@ -122,6 +124,42 @@ TEST_F(CalibrationIoTest, RejectsMismatchedCpuSignature) {
   EXPECT_FALSE(wino::nn::load_measured_state(path_));
   EXPECT_FALSE(wino::nn::plan_cache_stats().calibration_loaded);
   EXPECT_EQ(wino::nn::plan_cache_stats().layer_entries, 0u);
+}
+
+TEST_F(CalibrationIoTest, FileFromAnotherKernelSetGoesToAColdProbe) {
+  // The signature names the dispatched kernel set: rates measured on one
+  // set's kernels are never reused under another.
+  const std::string active = wino::runtime::active_kernel_set().name;
+  const std::string sig = wino::nn::calibration_cpu_signature();
+  ASSERT_NE(sig.find("isa=" + active), std::string::npos) << sig;
+  const std::string other = active == "avx2" ? "baseline" : "avx2";
+  wino::nn::import_measured_state(synthetic_state());
+  ASSERT_TRUE(wino::nn::save_measured_state(path_));
+  rewrite_line(path_, "cpu ",
+               "cpu " + sig.substr(0, sig.rfind("isa=")) + "isa=" + other);
+
+  wino::nn::clear_measured_state();
+  EXPECT_FALSE(wino::nn::load_measured_state(path_));
+  EXPECT_FALSE(wino::nn::plan_cache_stats().calibration_loaded);
+  EXPECT_EQ(wino::nn::plan_cache_stats().layer_entries, 0u);
+  const auto before = wino::nn::plan_cache_stats();
+  (void)wino::nn::measured_calibration();
+  EXPECT_EQ(wino::nn::plan_cache_stats().calibration_probes,
+            before.calibration_probes + 1);
+
+  // A host with more than one set: a file saved with one set pinned is
+  // refused under the others and accepted under its own.
+  const auto sets = wino::runtime::kernel_sets();
+  if (sets.size() < 2) return;
+  wino::nn::import_measured_state(synthetic_state());
+  {
+    const wino::runtime::ScopedKernelSet pin(sets.front());
+    ASSERT_TRUE(wino::nn::save_measured_state(path_));
+  }
+  wino::nn::clear_measured_state();
+  EXPECT_FALSE(wino::nn::load_measured_state(path_));
+  const wino::runtime::ScopedKernelSet pin(sets.front());
+  EXPECT_TRUE(wino::nn::load_measured_state(path_));
 }
 
 TEST_F(CalibrationIoTest, RejectsMismatchedCodeHash) {

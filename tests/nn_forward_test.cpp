@@ -9,6 +9,7 @@
 #include "common/random.hpp"
 #include "nn/plan.hpp"
 #include "runtime/thread_pool.hpp"
+#include "test_support.hpp"
 
 namespace wino::nn {
 namespace {
@@ -210,6 +211,31 @@ TEST(ForwardPlan, BitIdenticalToReferenceAcrossBatchesAndThreads) {
   }
   runtime::ThreadPool::set_global_threads(
       std::max(1u, std::thread::hardware_concurrency()));  // restore
+}
+
+TEST(ForwardPlan, EveryKernelSetBitIdenticalOnPinnedBenchmarkPlans) {
+  // The benchmark's four pinned plans at batch 1 and 8: every kernel set
+  // the host runs must produce the reference's bytes, so the sets also
+  // equal each other.
+  for (const test::PinnedPlan& p : test::pinned_plans()) {
+    const ExecutionPlan plan = p.plan();
+    const WeightBank weights = random_weights(plan.layers, 41);
+    const std::size_t hw = 224 / p.scale;
+    Rng rng(42);
+    for (const std::size_t batch : {1u, 8u}) {
+      Tensor4f in(batch, 3, hw, hw);
+      rng.fill_uniform(in.flat());
+      const Tensor4f want = forward_reference(plan, weights, in);
+      test::for_each_kernel_set([&] {
+        const Tensor4f got = forward(plan, weights, in);
+        ASSERT_EQ(got.shape(), want.shape());
+        EXPECT_EQ(std::memcmp(got.flat().data(), want.flat().data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << p.name << " batch=" << batch;
+      });
+    }
+  }
 }
 
 TEST(TransformCache, BumpVersionInvalidatesStaleTransforms) {

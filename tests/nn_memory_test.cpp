@@ -26,6 +26,7 @@
 #include "runtime/thread_pool.hpp"
 #include "tensor/layout.hpp"
 #include "tensor/tensor.hpp"
+#include "test_support.hpp"
 
 // --------------------------------------------------------------------------
 // Counting allocator: global operator new/delete replacements (must live at
@@ -138,50 +139,15 @@ TEST(MemoryPlanTest, OffsetsAlignedLifetimesDisjointPeakIsHighWater) {
 // executor call can hand the walk, and the slab peaks stay at or under the
 // values these plans had before blocks were rounded to register tiles.
 TEST(MemoryPlanTest, PinnedBenchmarkPlansSizeWholeRegisterTileBlocks) {
-  struct Pinned {
-    const char* name;
-    std::size_t scale;
-    std::vector<std::string> algos;
-    std::size_t peak1;
-    std::size_t peak8;
-  };
-  const Pinned pinned[] = {
-      {"offline-fp32",
-       7,
-       {"im2col", "w4", "w4", "w4", "w4", "w4", "w4", "w4", "w4", "w4", "w2",
-        "w2", "w2"},
-       143360,
-       526336},
-      {"offline-int8",
-       7,
-       {"i8w2", "int8", "int8", "int8", "int8", "int8", "int8", "i8w2",
-        "int8", "int8", "i8w2", "int8", "int8"},
-       181312,
-       640064},
-      {"serve-mix small",
-       28,
-       {"im2col", "w4", "w4", "w4", "w2", "w2", "w2", "w2", "w2", "w2", "w2",
-        "w2", "w2"},
-       8960,
-       34816},
-      {"serve-mix large",
-       14,
-       {"im2col", "w4", "w4", "w4", "w4", "w4", "w4", "w2", "w2", "w2", "w2",
-        "w2", "w2"},
-       35840,
-       133120},
-  };
-  for (const Pinned& p : pinned) {
-    const auto layers = vgg16_d_scaled(p.scale, 8);
-    ExecutionPlan plan = uniform_plan(layers, ConvAlgo::kIm2col);
-    std::size_t ci = 0;
-    for (std::size_t i = 0; i < layers.size(); ++i) {
-      if (layers[i].kind == LayerKind::kConv) {
-        plan.steps[i].algo = parse_conv_algo(p.algos[ci++]);
-      }
-    }
-    ASSERT_EQ(ci, p.algos.size()) << p.name;
-    replan_layouts(plan);
+  // Planned peak bytes at 1 and 8 images, in pinned_plans() order.
+  const std::size_t peaks[][2] = {
+      {143360, 526336}, {181312, 640064}, {8960, 34816}, {35840, 133120}};
+  const std::vector<test::PinnedPlan> pinned = test::pinned_plans();
+  ASSERT_EQ(pinned.size(), std::size(peaks));
+  for (std::size_t pi = 0; pi < pinned.size(); ++pi) {
+    const test::PinnedPlan& p = pinned[pi];
+    const auto layers = p.layers();
+    const ExecutionPlan plan = p.plan();
     ASSERT_FALSE(plan.memory.empty()) << p.name;
     const std::size_t chunk =
         std::min<std::size_t>(8, plan_batch_ceiling(plan));
@@ -202,8 +168,8 @@ TEST(MemoryPlanTest, PinnedBenchmarkPlansSizeWholeRegisterTileBlocks) {
       const std::size_t tiles = ((oh + mu - 1) / mu) * ((ow + mu - 1) / mu);
       EXPECT_LE(block, tiles * chunk) << p.name << " step " << i;
     }
-    EXPECT_LE(plan.memory.peak_bytes(1), p.peak1) << p.name;
-    EXPECT_LE(plan.memory.peak_bytes(8), p.peak8) << p.name;
+    EXPECT_LE(plan.memory.peak_bytes(1), peaks[pi][0]) << p.name;
+    EXPECT_LE(plan.memory.peak_bytes(8), peaks[pi][1]) << p.name;
   }
 }
 

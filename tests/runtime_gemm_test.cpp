@@ -1,7 +1,8 @@
 // The shared cache-blocked SIMD GEMM core: exhaustive small-shape
 // equivalence with the naive reference (bit-for-bit inside one reduction
 // panel), alpha/beta paths, SIMD-vs-scalar micro-kernel identity, and
-// thread-count determinism.
+// thread-count determinism — each under every kernel set the host runs —
+// and bit-identity between the kernel sets.
 #include "runtime/gemm.hpp"
 
 #include <gtest/gtest.h>
@@ -12,12 +13,15 @@
 #include <vector>
 
 #include "common/random.hpp"
+#include "runtime/kernel_registry.hpp"
 #include "runtime/thread_pool.hpp"
+#include "test_support.hpp"
 
 namespace wino::runtime {
 namespace {
 
 using common::Rng;
+using test::for_each_kernel_set;
 
 // Restores the global pool so test order cannot leak thread counts.
 class RuntimeGemm : public ::testing::Test {
@@ -39,70 +43,76 @@ void expect_bitwise_equal(const std::vector<float>& a,
 }
 
 TEST_F(RuntimeGemm, ExhaustiveSmallShapesMatchNaiveBitForBit) {
-  // Every K here fits one Kc reduction panel, where the contract promises
-  // exact equality with the naive local-accumulator loop — across ragged
-  // edges (non-multiples of MR/NR), K = 1, single rows and columns, and
-  // shapes large enough to leave the direct path for the blocked one.
-  const auto [mr, nr, kc, nc] = sgemm_blocking();
-  const std::vector<std::size_t> ms = {1, 2, 3, mr - 1, mr, mr + 1,
-                                       2 * mr + 1, 33, 48};
-  const std::vector<std::size_t> ns = {1, 2, nr - 1, nr, nr + 1,
-                                       3 * nr + 5, 64};
-  const std::vector<std::size_t> ks = {1, 2, 3, 9, 31, 64, kc};
-  Rng rng(101);
-  for (const std::size_t m : ms) {
-    for (const std::size_t n : ns) {
-      for (const std::size_t k : ks) {
-        const auto a = random_vec(m * k, rng);
-        const auto b = random_vec(k * n, rng);
-        std::vector<float> got(m * n, -1.0F);
-        std::vector<float> want(m * n, -1.0F);
-        sgemm(m, n, k, 1.0F, a.data(), k, b.data(), n, 0.0F, got.data(), n);
-        sgemm_naive(m, n, k, 1.0F, a.data(), k, b.data(), n, 0.0F,
-                    want.data(), n);
-        ASSERT_EQ(std::memcmp(got.data(), want.data(),
-                              got.size() * sizeof(float)),
-                  0)
-            << "m=" << m << " n=" << n << " k=" << k;
+  for_each_kernel_set([&] {
+    // Every K here fits one Kc reduction panel, where the contract promises
+    // exact equality with the naive local-accumulator loop — across ragged
+    // edges (non-multiples of MR/NR), K = 1, single rows and columns, and
+    // shapes large enough to leave the direct path for the blocked one.
+    const auto [mr, nr, kc, nc] = sgemm_blocking();
+    const std::vector<std::size_t> ms = {1, 2, 3, mr - 1, mr, mr + 1,
+                                         2 * mr + 1, 33, 48};
+    const std::vector<std::size_t> ns = {1, 2, nr - 1, nr, nr + 1,
+                                         3 * nr + 5, 64};
+    const std::vector<std::size_t> ks = {1, 2, 3, 9, 31, 64, kc};
+    Rng rng(101);
+    for (const std::size_t m : ms) {
+      for (const std::size_t n : ns) {
+        for (const std::size_t k : ks) {
+          const auto a = random_vec(m * k, rng);
+          const auto b = random_vec(k * n, rng);
+          std::vector<float> got(m * n, -1.0F);
+          std::vector<float> want(m * n, -1.0F);
+          sgemm(m, n, k, 1.0F, a.data(), k, b.data(), n, 0.0F, got.data(), n);
+          sgemm_naive(m, n, k, 1.0F, a.data(), k, b.data(), n, 0.0F,
+                      want.data(), n);
+          ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(float)),
+                    0)
+              << "m=" << m << " n=" << n << " k=" << k;
+        }
       }
     }
-  }
+  });
 }
 
 TEST_F(RuntimeGemm, AlphaBetaAccumulatePathsMatchNaive) {
-  Rng rng(102);
-  const std::size_t m = 21;
-  const std::size_t n = 37;
-  const std::size_t k = 64;
-  const auto a = random_vec(m * k, rng);
-  const auto b = random_vec(k * n, rng);
-  const auto c0 = random_vec(m * n, rng);
-  for (const float alpha : {1.0F, 0.5F, -2.0F, 0.0F}) {
-    for (const float beta : {0.0F, 1.0F, -0.25F}) {
-      auto got = c0;
-      auto want = c0;
-      sgemm(m, n, k, alpha, a.data(), k, b.data(), n, beta, got.data(), n);
-      sgemm_naive(m, n, k, alpha, a.data(), k, b.data(), n, beta,
-                  want.data(), n);
-      ASSERT_EQ(
-          std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
-          0)
-          << "alpha=" << alpha << " beta=" << beta;
+  for_each_kernel_set([&] {
+    Rng rng(102);
+    const std::size_t m = 21;
+    const std::size_t n = 37;
+    const std::size_t k = 64;
+    const auto a = random_vec(m * k, rng);
+    const auto b = random_vec(k * n, rng);
+    const auto c0 = random_vec(m * n, rng);
+    for (const float alpha : {1.0F, 0.5F, -2.0F, 0.0F}) {
+      for (const float beta : {0.0F, 1.0F, -0.25F}) {
+        auto got = c0;
+        auto want = c0;
+        sgemm(m, n, k, alpha, a.data(), k, b.data(), n, beta, got.data(), n);
+        sgemm_naive(m, n, k, alpha, a.data(), k, b.data(), n, beta,
+                    want.data(), n);
+        ASSERT_EQ(
+            std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0)
+            << "alpha=" << alpha << " beta=" << beta;
+      }
     }
-  }
+  });
 }
 
 TEST_F(RuntimeGemm, BetaZeroOverwritesStaleContents) {
-  Rng rng(103);
-  const std::size_t m = 5;
-  const std::size_t n = 7;
-  const auto a = random_vec(m * 3, rng);
-  const auto b = random_vec(3 * n, rng);
-  std::vector<float> got(m * n, std::numeric_limits<float>::quiet_NaN());
-  std::vector<float> want(m * n);
-  sgemm(m, n, 3, 1.0F, a.data(), 3, b.data(), n, 0.0F, got.data(), n);
-  sgemm_naive(m, n, 3, 1.0F, a.data(), 3, b.data(), n, 0.0F, want.data(), n);
-  expect_bitwise_equal(got, want, "beta=0 must ignore stale C");
+  for_each_kernel_set([&] {
+    Rng rng(103);
+    const std::size_t m = 5;
+    const std::size_t n = 7;
+    const auto a = random_vec(m * 3, rng);
+    const auto b = random_vec(3 * n, rng);
+    std::vector<float> got(m * n, std::numeric_limits<float>::quiet_NaN());
+    std::vector<float> want(m * n);
+    sgemm(m, n, 3, 1.0F, a.data(), 3, b.data(), n, 0.0F, got.data(), n);
+    sgemm_naive(m, n, 3, 1.0F, a.data(), 3, b.data(), n, 0.0F, want.data(), n);
+    expect_bitwise_equal(got, want, "beta=0 must ignore stale C");
+  });
 }
 
 TEST_F(RuntimeGemm, KZeroScalesByBeta) {
@@ -115,47 +125,50 @@ TEST_F(RuntimeGemm, KZeroScalesByBeta) {
 }
 
 TEST_F(RuntimeGemm, StridedOperandsRespectLeadingDimensions) {
-  // Submatrix views: lda/ldb/ldc larger than the logical widths.
-  Rng rng(104);
-  const std::size_t m = 9;
-  const std::size_t n = 11;
-  const std::size_t k = 13;
-  const std::size_t lda = k + 3;
-  const std::size_t ldb = n + 5;
-  const std::size_t ldc = n + 2;
-  const auto a = random_vec(m * lda, rng);
-  const auto b = random_vec(k * ldb, rng);
-  std::vector<float> got(m * ldc, 7.0F);
-  std::vector<float> want = got;
-  sgemm(m, n, k, 1.0F, a.data(), lda, b.data(), ldb, 0.0F, got.data(), ldc);
-  sgemm_naive(m, n, k, 1.0F, a.data(), lda, b.data(), ldb, 0.0F,
-              want.data(), ldc);
-  expect_bitwise_equal(got, want, "strided");
-  // Padding columns beyond n must be untouched.
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = n; j < ldc; ++j) EXPECT_EQ(got[i * ldc + j], 7.0F);
-  }
+  for_each_kernel_set([&] {
+    // Submatrix views: lda/ldb/ldc larger than the logical widths.
+    Rng rng(104);
+    const std::size_t m = 9;
+    const std::size_t n = 11;
+    const std::size_t k = 13;
+    const std::size_t lda = k + 3;
+    const std::size_t ldb = n + 5;
+    const std::size_t ldc = n + 2;
+    const auto a = random_vec(m * lda, rng);
+    const auto b = random_vec(k * ldb, rng);
+    std::vector<float> got(m * ldc, 7.0F);
+    std::vector<float> want = got;
+    sgemm(m, n, k, 1.0F, a.data(), lda, b.data(), ldb, 0.0F, got.data(), ldc);
+    sgemm_naive(m, n, k, 1.0F, a.data(), lda, b.data(), ldb, 0.0F,
+                want.data(), ldc);
+    expect_bitwise_equal(got, want, "strided");
+    // Padding columns beyond n must be untouched.
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = n; j < ldc; ++j) EXPECT_EQ(got[i * ldc + j], 7.0F);
+    }
+  });
 }
 
 TEST_F(RuntimeGemm, SimdAndScalarKernelsBitIdentical) {
-  // The whole point of mul+add (no FMA) micro-kernels: forcing the scalar
-  // fallback must reproduce the vectorized result exactly, including the
-  // multi-panel K > Kc bracketing. Exercised for real when the suite is
-  // compiled with -march=native (the CI native-simd job).
-  Rng rng(105);
-  const auto [mr, nr, kc, nc] = sgemm_blocking();
-  const std::size_t m = 3 * mr + 2;
-  const std::size_t n = 2 * nr + 9;
-  const std::size_t k = 2 * kc + 17;
-  const auto a = random_vec(m * k, rng);
-  const auto b = random_vec(k * n, rng);
-  std::vector<float> auto_c(m * n);
-  std::vector<float> scalar_c(m * n);
-  sgemm(m, n, k, 1.0F, a.data(), k, b.data(), n, 0.0F, auto_c.data(), n,
-        GemmKernel::kAuto);
-  sgemm(m, n, k, 1.0F, a.data(), k, b.data(), n, 0.0F, scalar_c.data(), n,
-        GemmKernel::kScalar);
-  expect_bitwise_equal(auto_c, scalar_c, sgemm_kernel_name());
+  for_each_kernel_set([&] {
+    // The whole point of mul+add (no FMA) micro-kernels: forcing the scalar
+    // fallback must reproduce the vectorized result exactly, including the
+    // multi-panel K > Kc bracketing.
+    Rng rng(105);
+    const auto [mr, nr, kc, nc] = sgemm_blocking();
+    const std::size_t m = 3 * mr + 2;
+    const std::size_t n = 2 * nr + 9;
+    const std::size_t k = 2 * kc + 17;
+    const auto a = random_vec(m * k, rng);
+    const auto b = random_vec(k * n, rng);
+    std::vector<float> auto_c(m * n);
+    std::vector<float> scalar_c(m * n);
+    sgemm(m, n, k, 1.0F, a.data(), k, b.data(), n, 0.0F, auto_c.data(), n,
+          GemmKernel::kAuto);
+    sgemm(m, n, k, 1.0F, a.data(), k, b.data(), n, 0.0F, scalar_c.data(), n,
+          GemmKernel::kScalar);
+    expect_bitwise_equal(auto_c, scalar_c, sgemm_kernel_name());
+  });
 }
 
 TEST_F(RuntimeGemm, MultiPanelReductionStaysCloseToNaive) {
@@ -177,76 +190,94 @@ TEST_F(RuntimeGemm, MultiPanelReductionStaysCloseToNaive) {
 }
 
 TEST_F(RuntimeGemm, ThreadCountInvariantIncludingMultiPanel) {
-  Rng rng(107);
-  const auto [mr, nr, kc, nc] = sgemm_blocking();
-  const std::size_t m = 64;
-  const std::size_t n = nc + 33;  // forces a second Nc column block
-  const std::size_t k = kc + 64;  // forces a second reduction panel
-  const auto a = random_vec(m * k, rng);
-  const auto b = random_vec(k * n, rng);
-  ThreadPool::set_global_threads(1);
-  std::vector<float> ref(m * n);
-  sgemm(m, n, k, 1.0F, a.data(), k, b.data(), n, 0.0F, ref.data(), n);
-  for (const std::size_t t : {2u, 4u, 7u}) {
-    ThreadPool::set_global_threads(t);
-    std::vector<float> got(m * n);
-    sgemm(m, n, k, 1.0F, a.data(), k, b.data(), n, 0.0F, got.data(), n);
-    ASSERT_EQ(std::memcmp(ref.data(), got.data(), ref.size() * sizeof(float)),
-              0)
-        << "non-deterministic at " << t << " threads";
-  }
-}
-
-TEST_F(RuntimeGemm, BatchedMatchesPerMemberCalls) {
-  Rng rng(108);
-  const std::size_t count = 9;
-  const std::size_t m = 7;
-  const std::size_t n = 31;
-  const std::size_t k = 12;
-  const auto a = random_vec(count * m * k, rng);
-  const auto b = random_vec(count * k * n, rng);
-  std::vector<float> got(count * m * n);
-  std::vector<float> want(count * m * n);
-  sgemm_batched(count, m, n, k, 1.0F, a.data(), k, m * k, b.data(), n, k * n,
-                0.0F, got.data(), n, m * n);
-  for (std::size_t e = 0; e < count; ++e) {
-    sgemm(m, n, k, 1.0F, a.data() + e * m * k, k, b.data() + e * k * n, n,
-          0.0F, want.data() + e * m * n, n);
-  }
-  expect_bitwise_equal(got, want, "batched");
+  for_each_kernel_set([&] {
+    Rng rng(107);
+    const auto [mr, nr, kc, nc] = sgemm_blocking();
+    const std::size_t m = 64;
+    const std::size_t n = nc + 33;  // forces a second Nc column block
+    const std::size_t k = kc + 64;  // forces a second reduction panel
+    const auto a = random_vec(m * k, rng);
+    const auto b = random_vec(k * n, rng);
+    ThreadPool::set_global_threads(1);
+    std::vector<float> ref(m * n);
+    sgemm(m, n, k, 1.0F, a.data(), k, b.data(), n, 0.0F, ref.data(), n);
+    for (const std::size_t t : {2u, 4u, 7u}) {
+      ThreadPool::set_global_threads(t);
+      std::vector<float> got(m * n);
+      sgemm(m, n, k, 1.0F, a.data(), k, b.data(), n, 0.0F, got.data(), n);
+      ASSERT_EQ(std::memcmp(ref.data(), got.data(), ref.size() * sizeof(float)),
+                0)
+          << "non-deterministic at " << t << " threads";
+    }
+  });
 }
 
 TEST_F(RuntimeGemm, NestedInsideParallelForStaysCorrect) {
-  // Consumers call sgemm from inside parallel_for bodies (per-image conv,
-  // per-tile hw engine); the nested call runs inline and must still equal
-  // the top-level result bit-for-bit.
-  Rng rng(109);
-  const std::size_t m = 40;
-  const std::size_t n = 50;
-  const std::size_t k = 30;
-  const auto a = random_vec(m * k, rng);
-  const auto b = random_vec(k * n, rng);
-  std::vector<float> ref(m * n);
-  sgemm(m, n, k, 1.0F, a.data(), k, b.data(), n, 0.0F, ref.data(), n);
-  std::vector<std::vector<float>> per_slot(4, std::vector<float>(m * n));
-  parallel_for(per_slot.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      sgemm(m, n, k, 1.0F, a.data(), k, b.data(), n, 0.0F,
-            per_slot[i].data(), n);
+  for_each_kernel_set([&] {
+    // Consumers call sgemm from inside parallel_for bodies (per-image conv,
+    // per-tile hw engine); the nested call runs inline and must still equal
+    // the top-level result bit-for-bit.
+    Rng rng(109);
+    const std::size_t m = 40;
+    const std::size_t n = 50;
+    const std::size_t k = 30;
+    const auto a = random_vec(m * k, rng);
+    const auto b = random_vec(k * n, rng);
+    std::vector<float> ref(m * n);
+    sgemm(m, n, k, 1.0F, a.data(), k, b.data(), n, 0.0F, ref.data(), n);
+    std::vector<std::vector<float>> per_slot(4, std::vector<float>(m * n));
+    parallel_for(per_slot.size(), [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        sgemm(m, n, k, 1.0F, a.data(), k, b.data(), n, 0.0F,
+              per_slot[i].data(), n);
+      }
+    });
+    for (const auto& got : per_slot) {
+      expect_bitwise_equal(ref, got, "nested");
     }
   });
-  for (const auto& got : per_slot) {
-    expect_bitwise_equal(ref, got, "nested");
-  }
+}
+
+TEST_F(RuntimeGemm, KernelSetsBitIdenticalIncludingMultiPanel) {
+  // Every set against the first on shapes that leave the direct path:
+  // several Nc column blocks and Kc reduction panels, ragged edges, and
+  // ±0, subnormal and Inf operands.
+  Rng rng(110);
+  const std::size_t m = 37;
+  const std::size_t n = 2048 + 41;
+  const std::size_t k = 2 * 256 + 19;
+  auto a = random_vec(m * k, rng);
+  const auto b = random_vec(k * n, rng);
+  a[0] = -0.0F;
+  a[1] = 1e-40F;
+  a[k] = std::numeric_limits<float>::infinity();
+  std::vector<float> first;
+  for_each_kernel_set([&] {
+    std::vector<float> got(m * n, 3.0F);
+    sgemm(m, n, k, 0.5F, a.data(), k, b.data(), n, -1.0F, got.data(), n);
+    if (first.empty()) {
+      first = got;
+    } else {
+      expect_bitwise_equal(got, first, sgemm_kernel_name());
+    }
+  });
 }
 
 TEST_F(RuntimeGemm, BlockingAndKernelNameAreSane) {
-  const auto blocking = sgemm_blocking();
-  EXPECT_GE(blocking.mr, 4u);
-  EXPECT_GE(blocking.nr, 8u);
-  EXPECT_EQ(blocking.kc, 256u);
-  const std::string name = sgemm_kernel_name();
-  EXPECT_TRUE(name == "avx2" || name == "neon" || name == "scalar") << name;
+  // The default is the widest set the host runs.
+  EXPECT_STREQ(active_kernel_set().name, kernel_sets().back().name);
+  for_each_kernel_set([&] {
+    const auto blocking = sgemm_blocking();
+    EXPECT_GE(blocking.mr, 4u);
+    EXPECT_GE(blocking.nr, 8u);
+    EXPECT_EQ(blocking.kc, 256u);
+    const std::string name = sgemm_kernel_name();
+    if (active_kernel_set().isa == KernelIsa::kAvx2) {
+      EXPECT_EQ(name, "avx2");
+    } else {
+      EXPECT_TRUE(name == "neon" || name == "scalar") << name;
+    }
+  });
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // reduction -> inverse) and must stay BIT-identical to the NCHW reference
 // conv2d_winograd — same per-element accumulation chains, only regrouped
 // across independent tile columns — at every block size, accumulation
-// order, tile edge, ragged shape, layout pairing, batch size and thread
-// count; the int8 form is pinned against a golden per-tile formulation.
+// order, tile edge, ragged shape, layout pairing, batch size, thread
+// count and kernel set; the int8 form is pinned against a golden per-tile
+// formulation.
 // Also pins the planner side: peak-neutral block sizing (block scratch
 // never grows the slab high-water mark) and the per-model batch ceiling
 // the serving layer clamps assembly to.
@@ -29,6 +30,7 @@
 #include "serve/inference_server.hpp"
 #include "tensor/layout.hpp"
 #include "tensor/tensor.hpp"
+#include "test_support.hpp"
 #include "winograd/kernels.hpp"
 
 namespace {
@@ -36,6 +38,8 @@ namespace {
 using wino::common::Rng;
 using wino::runtime::ManualClock;
 using wino::runtime::ThreadPool;
+using wino::test::for_each_kernel_set;
+using wino::test::hostile_batch;
 using wino::tensor::Layout;
 using wino::tensor::Tensor4f;
 using wino::winograd::AccumulationOrder;
@@ -127,59 +131,62 @@ Tensor4f relu_of(Tensor4f t) {
 }
 
 TEST(TileWalk, EveryBlockSizeBitIdenticalToReference) {
-  using wino::tensor::PackedActivation;
-  struct Case {
-    int m;
-    std::size_t h, w;
-  };
-  // 7x9 at m = 2 gives 2 x 20 tile columns, 9x7 at m = 4 gives 2 x 6: the
-  // block sizes cover B = 1, blocks with no full register tile, exact
-  // register tiles, register tiles plus a tail, ragged final blocks and
-  // B larger than the column supply.
-  const Case cases[] = {{2, 7, 9}, {4, 9, 7}};
-  const std::size_t blocks[] = {1, 2, 3, 7, 8, 9, 16};
-  Rng rng(7);
-  for (const Case& cs : cases) {
-    const TileTransformer xf(transforms(cs.m, 3));
-    const auto mm = static_cast<std::size_t>(cs.m);
-    const Tensor4f input = random_tensor(2, 3, cs.h, cs.w, rng);
-    const Tensor4f kernels = random_tensor(4, 3, 3, 3, rng);
-    const TransformedKernels tk(xf, kernels);
-    const wino::tensor::Shape4 out_shape{2, 4, cs.h, cs.w};
-    for (const AccumulationOrder order :
-         {AccumulationOrder::kTransformDomain,
-          AccumulationOrder::kPostInverse}) {
-      WinogradConvOptions opt;
-      opt.pad = 1;
-      opt.accumulation = order;
-      const Tensor4f want = conv2d_winograd(input, tk, xf, opt);
-      const Tensor4f want_relu = relu_of(want);
-      for (const bool in_tiled : {false, true}) {
-        // A producer tile edge other than m exercises the gather maps.
-        const Layout il = in_tiled ? Layout::winograd_tile(input.shape(), 3)
-                                   : Layout::nchw(input.shape());
-        const PackedActivation in = wino::tensor::pack(input, il);
-        for (const bool out_tiled : {false, true}) {
-          const Layout ol = out_tiled ? Layout::winograd_tile(out_shape, mm)
-                                      : Layout::nchw(out_shape);
-          for (const bool relu : {false, true}) {
-            for (const std::size_t block : blocks) {
-              const CarvedScratch sc = carve_scratch(3, xf, block);
-              PackedActivation got{ol, std::vector<float>(ol.volume(), -1.0F)};
-              conv2d_winograd_layout_into(il, in.data, tk, xf, opt, ol,
-                                          got.data, relu, sc.s);
-              EXPECT_TRUE(bit_identical(wino::tensor::unpack(got),
-                                        relu ? want_relu : want))
-                  << "m=" << cs.m << " post_inverse="
-                  << (order == AccumulationOrder::kPostInverse)
-                  << " in_tiled=" << in_tiled << " out_tiled=" << out_tiled
-                  << " relu=" << relu << " B=" << block;
+  for_each_kernel_set([&] {
+    using wino::tensor::PackedActivation;
+    struct Case {
+      int m;
+      std::size_t h, w;
+    };
+    // 7x9 at m = 2 gives 2 x 20 tile columns, 9x7 at m = 4 gives 2 x 6: the
+    // block sizes cover B = 1, blocks with no full register tile, exact
+    // register tiles, register tiles plus a tail, ragged final blocks and
+    // B larger than the column supply.
+    const Case cases[] = {{2, 7, 9}, {4, 9, 7}};
+    const std::size_t blocks[] = {1, 2, 3, 7, 8, 9, 16};
+    Rng rng(7);
+    for (const Case& cs : cases) {
+      const TileTransformer xf(transforms(cs.m, 3));
+      const auto mm = static_cast<std::size_t>(cs.m);
+      const Tensor4f input = random_tensor(2, 3, cs.h, cs.w, rng);
+      const Tensor4f kernels = random_tensor(4, 3, 3, 3, rng);
+      const TransformedKernels tk(xf, kernels);
+      const wino::tensor::Shape4 out_shape{2, 4, cs.h, cs.w};
+      for (const AccumulationOrder order :
+           {AccumulationOrder::kTransformDomain,
+            AccumulationOrder::kPostInverse}) {
+        WinogradConvOptions opt;
+        opt.pad = 1;
+        opt.accumulation = order;
+        const Tensor4f want = conv2d_winograd(input, tk, xf, opt);
+        const Tensor4f want_relu = relu_of(want);
+        for (const bool in_tiled : {false, true}) {
+          // A producer tile edge other than m exercises the gather maps.
+          const Layout il = in_tiled ? Layout::winograd_tile(input.shape(), 3)
+                                     : Layout::nchw(input.shape());
+          const PackedActivation in = wino::tensor::pack(input, il);
+          for (const bool out_tiled : {false, true}) {
+            const Layout ol = out_tiled ? Layout::winograd_tile(out_shape, mm)
+                                        : Layout::nchw(out_shape);
+            for (const bool relu : {false, true}) {
+              for (const std::size_t block : blocks) {
+                const CarvedScratch sc = carve_scratch(3, xf, block);
+                PackedActivation got{ol,
+                                     std::vector<float>(ol.volume(), -1.0F)};
+                conv2d_winograd_layout_into(il, in.data, tk, xf, opt, ol,
+                                            got.data, relu, sc.s);
+                EXPECT_TRUE(bit_identical(wino::tensor::unpack(got),
+                                          relu ? want_relu : want))
+                    << "m=" << cs.m << " post_inverse="
+                    << (order == AccumulationOrder::kPostInverse)
+                    << " in_tiled=" << in_tiled << " out_tiled=" << out_tiled
+                    << " relu=" << relu << " B=" << block;
+              }
             }
           }
         }
       }
     }
-  }
+  });
 }
 
 TEST(TileWalk, RejectsScratchWithoutAColumnOrWithMismatchedBanks) {
@@ -285,166 +292,137 @@ std::vector<float> golden_winograd_int8(
 }
 
 TEST(TileWalk, Int8EveryBlockSizeBitIdenticalToGoldenPerTileWalk) {
-  using wino::quant::conv2d_winograd_int8_into;
-  using wino::quant::QuantWinogradScratch;
-  for (const int m : {2, 4}) {
-    const TileTransformer xf(transforms(m, 3));
-    const auto n = static_cast<std::size_t>(xf.tile());
-    Rng rng(100 + m);
-    const Tensor4f input = random_tensor(2, 5, 9, 7, rng);
-    const Tensor4f kernels = random_tensor(4, 5, 3, 3, rng);
-    const auto qk = wino::quant::quantize_winograd_kernels(xf, kernels);
-    const wino::tensor::Tensor4fView view(input.shape(), input.flat());
-    // The allocating wrapper runs the same walk at its own block size.
-    const std::vector<float> plain = golden_winograd_int8(input, qk, xf, 1,
-                                                          false);
-    const Tensor4f wrapped = wino::quant::conv2d_winograd_int8(input, qk, xf,
-                                                               1);
-    EXPECT_EQ(std::memcmp(wrapped.flat().data(), plain.data(),
-                          plain.size() * sizeof(float)),
-              0)
-        << "m=" << m << " allocating wrapper";
-    for (const bool relu : {false, true}) {
-      const std::vector<float> want =
-          golden_winograd_int8(input, qk, xf, 1, relu);
-      for (const std::size_t block : {1u, 2u, 3u, 8u, 16u}) {
-        wino::nn::ByteCarver measure;
-        (void)wino::nn::carve_quant_winograd_scratch(measure, 5, n, block);
-        std::vector<std::byte> bytes(measure.used());
-        wino::nn::ByteCarver carver(bytes);
-        const QuantWinogradScratch s =
-            wino::nn::carve_quant_winograd_scratch(carver, 5, n, block);
-        std::vector<float> got(want.size(), -2.0F);
-        conv2d_winograd_int8_into(view, qk, xf, 1, 0.0F, relu, got, s);
-        EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                              want.size() * sizeof(float)),
-                  0)
-            << "m=" << m << " B=" << block << " relu=" << relu;
+  for_each_kernel_set([&] {
+    using wino::quant::conv2d_winograd_int8_into;
+    using wino::quant::QuantWinogradScratch;
+    for (const int m : {2, 4}) {
+      const TileTransformer xf(transforms(m, 3));
+      const auto n = static_cast<std::size_t>(xf.tile());
+      Rng rng(100 + m);
+      const Tensor4f input = random_tensor(2, 5, 9, 7, rng);
+      const Tensor4f kernels = random_tensor(4, 5, 3, 3, rng);
+      const auto qk = wino::quant::quantize_winograd_kernels(xf, kernels);
+      const wino::tensor::Tensor4fView view(input.shape(), input.flat());
+      // The allocating wrapper runs the same walk at its own block size.
+      const std::vector<float> plain = golden_winograd_int8(input, qk, xf, 1,
+                                                            false);
+      const Tensor4f wrapped = wino::quant::conv2d_winograd_int8(input, qk, xf,
+                                                                 1);
+      EXPECT_EQ(std::memcmp(wrapped.flat().data(), plain.data(),
+                            plain.size() * sizeof(float)),
+                0)
+          << "m=" << m << " allocating wrapper";
+      for (const bool relu : {false, true}) {
+        const std::vector<float> want =
+            golden_winograd_int8(input, qk, xf, 1, relu);
+        for (const std::size_t block : {1u, 2u, 3u, 8u, 16u}) {
+          wino::nn::ByteCarver measure;
+          (void)wino::nn::carve_quant_winograd_scratch(measure, 5, n, block);
+          std::vector<std::byte> bytes(measure.used());
+          wino::nn::ByteCarver carver(bytes);
+          const QuantWinogradScratch s =
+              wino::nn::carve_quant_winograd_scratch(carver, 5, n, block);
+          std::vector<float> got(want.size(), -2.0F);
+          conv2d_winograd_int8_into(view, qk, xf, 1, 0.0F, relu, got, s);
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                want.size() * sizeof(float)),
+                    0)
+              << "m=" << m << " B=" << block << " relu=" << relu;
+        }
       }
     }
-  }
+  });
 }
 
 // -------------------------------------------------------------------------
 // Hostile inputs: NaN, +/-Inf and all-zero images through every walk
 // -------------------------------------------------------------------------
 
-/// The NaN the hardware generates (Inf - Inf). Which of two NaNs of
-/// different bits an add returns depends on the operand order the compiler
-/// picked, which C++ does not pin; with every NaN equal to the generated
-/// one, each output is defined bit for bit.
-float generated_nan() {
-  volatile float inf = std::numeric_limits<float>::infinity();
-  return inf - inf;
-}
-
-/// `batch` images cycling through four kinds: all NaN; uniform values with
-/// NaN and +/-Inf sprinkled in; all zero; plain uniform values.
-Tensor4f hostile_batch(std::size_t batch, std::size_t c, std::size_t h,
-                       std::size_t w, Rng& rng) {
-  Tensor4f t = random_tensor(batch, c, h, w, rng);
-  const float inf = std::numeric_limits<float>::infinity();
-  const std::size_t volume = c * h * w;
-  for (std::size_t img = 0; img < batch; ++img) {
-    const auto image = t.flat().subspan(img * volume, volume);
-    for (float& v : image) {
-      switch (img % 4) {
-        case 0:
-          v = generated_nan();
-          break;
-        case 1: {
-          const std::int64_t pick = rng.uniform_int(0, 7);
-          if (pick == 0) v = generated_nan();
-          if (pick == 1) v = inf;
-          if (pick == 2) v = -inf;
-          break;
-        }
-        case 2:
-          v = 0.0F;
-          break;
-        default:
-          break;
-      }
-    }
-  }
-  return t;
-}
-
 TEST(HostileInputs, WalkBitIdenticalToReferenceAtEveryBlockSize) {
-  Rng rng(31);
-  for (const int m : {2, 3, 4}) {
-    const TileTransformer xf(transforms(m, 3));
-    const auto mm = static_cast<std::size_t>(m);
-    const Tensor4f input = hostile_batch(4, 3, 9, 7, rng);
-    const Tensor4f kernels = random_tensor(4, 3, 3, 3, rng);
-    const TransformedKernels tk(xf, kernels);
-    const Layout il = Layout::nchw(input.shape());
-    const Layout ol = Layout::nchw({4, 4, 9, 7});
-    for (const AccumulationOrder order :
-         {AccumulationOrder::kTransformDomain,
-          AccumulationOrder::kPostInverse}) {
-      WinogradConvOptions opt;
-      opt.pad = 1;
-      opt.accumulation = order;
-      const Tensor4f want = conv2d_winograd(input, tk, xf, opt);
-      for (const std::size_t block : {1u, 8u, 16u}) {
-        const CarvedScratch sc = carve_scratch(3, xf, block);
-        Tensor4f got(4, 4, 9, 7, -1.0F);
-        conv2d_winograd_layout_into(il, input.flat(), tk, xf, opt, ol,
-                                    got.flat(), false, sc.s);
-        EXPECT_TRUE(bit_identical(got, want))
-            << "m=" << mm << " post_inverse="
-            << (order == AccumulationOrder::kPostInverse) << " B=" << block;
+  for_each_kernel_set([&] {
+    Rng rng(31);
+    for (const int m : {2, 3, 4}) {
+      const TileTransformer xf(transforms(m, 3));
+      const auto mm = static_cast<std::size_t>(m);
+      const Tensor4f input = hostile_batch(4, 3, 9, 7, rng);
+      const Tensor4f kernels = random_tensor(4, 3, 3, 3, rng);
+      const TransformedKernels tk(xf, kernels);
+      const Layout il = Layout::nchw(input.shape());
+      const Layout ol = Layout::nchw({4, 4, 9, 7});
+      for (const AccumulationOrder order :
+           {AccumulationOrder::kTransformDomain,
+            AccumulationOrder::kPostInverse}) {
+        WinogradConvOptions opt;
+        opt.pad = 1;
+        opt.accumulation = order;
+        const Tensor4f want = conv2d_winograd(input, tk, xf, opt);
+        for (const std::size_t block : {1u, 8u, 16u}) {
+          const CarvedScratch sc = carve_scratch(3, xf, block);
+          Tensor4f got(4, 4, 9, 7, -1.0F);
+          conv2d_winograd_layout_into(il, input.flat(), tk, xf, opt, ol,
+                                      got.flat(), false, sc.s);
+          EXPECT_TRUE(bit_identical(got, want))
+              << "m=" << mm << " post_inverse="
+              << (order == AccumulationOrder::kPostInverse) << " B=" << block;
+        }
       }
     }
-  }
+  });
 }
 
 TEST(HostileInputs, Int8WalkBitIdenticalToGoldenPerTileWalk) {
-  Rng rng(32);
-  for (const int m : {2, 4}) {
-    const TileTransformer xf(transforms(m, 3));
-    const auto n = static_cast<std::size_t>(xf.tile());
-    const Tensor4f input = hostile_batch(4, 5, 9, 7, rng);
-    const Tensor4f kernels = random_tensor(4, 5, 3, 3, rng);
-    const auto qk = wino::quant::quantize_winograd_kernels(xf, kernels);
-    const wino::tensor::Tensor4fView view(input.shape(), input.flat());
-    const std::vector<float> want = golden_winograd_int8(input, qk, xf, 1,
-                                                         true);
-    for (const std::size_t block : {1u, 8u, 16u}) {
-      wino::nn::ByteCarver measure;
-      (void)wino::nn::carve_quant_winograd_scratch(measure, 5, n, block);
-      std::vector<std::byte> bytes(measure.used());
-      wino::nn::ByteCarver carver(bytes);
-      const auto s =
-          wino::nn::carve_quant_winograd_scratch(carver, 5, n, block);
-      std::vector<float> got(want.size(), -2.0F);
-      wino::quant::conv2d_winograd_int8_into(view, qk, xf, 1, 0.0F, true,
-                                             got, s);
-      EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                            want.size() * sizeof(float)),
-                0)
-          << "m=" << m << " B=" << block;
+  for_each_kernel_set([&] {
+    Rng rng(32);
+    for (const int m : {2, 4}) {
+      const TileTransformer xf(transforms(m, 3));
+      const auto n = static_cast<std::size_t>(xf.tile());
+      const Tensor4f input = hostile_batch(4, 5, 9, 7, rng);
+      const Tensor4f kernels = random_tensor(4, 5, 3, 3, rng);
+      const auto qk = wino::quant::quantize_winograd_kernels(xf, kernels);
+      const wino::tensor::Tensor4fView view(input.shape(), input.flat());
+      const std::vector<float> want = golden_winograd_int8(input, qk, xf, 1,
+                                                           true);
+      for (const std::size_t block : {1u, 8u, 16u}) {
+        wino::nn::ByteCarver measure;
+        (void)wino::nn::carve_quant_winograd_scratch(measure, 5, n, block);
+        std::vector<std::byte> bytes(measure.used());
+        wino::nn::ByteCarver carver(bytes);
+        const auto s =
+            wino::nn::carve_quant_winograd_scratch(carver, 5, n, block);
+        std::vector<float> got(want.size(), -2.0F);
+        wino::quant::conv2d_winograd_int8_into(view, qk, xf, 1, 0.0F, true,
+                                               got, s);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << "m=" << m << " B=" << block;
+      }
     }
-  }
+  });
 }
 
 TEST(HostileInputs, PlannedForwardBitIdenticalToReference) {
-  const auto layers = wino::nn::vgg16_d_scaled(14, 16);
-  const auto weights = wino::nn::random_weights(layers, 33);
-  Rng rng(34);
-  for (const auto algo :
-       {wino::nn::ConvAlgo::kWinograd2, wino::nn::ConvAlgo::kWinograd3,
-        wino::nn::ConvAlgo::kWinograd4}) {
-    const wino::nn::ExecutionPlan plan = wino::nn::uniform_plan(layers, algo);
-    for (const std::size_t batch : {1u, 8u}) {
-      const Tensor4f in = hostile_batch(batch, 3, 16, 16, rng);
-      const Tensor4f want = wino::nn::forward_reference(plan, weights, in);
-      const Tensor4f got = wino::nn::forward(plan, weights, in);
-      EXPECT_TRUE(bit_identical(got, want))
-          << wino::nn::to_string(algo) << " batch=" << batch;
+  for_each_kernel_set([&] {
+    const auto layers = wino::nn::vgg16_d_scaled(14, 16);
+    const auto weights = wino::nn::random_weights(layers, 33);
+    Rng rng(34);
+    // Every algorithm the executor runs, each followed by the pools and
+    // the fully connected layer.
+    using wino::nn::ConvAlgo;
+    for (const auto algo :
+         {ConvAlgo::kIm2col, ConvAlgo::kWinograd2, ConvAlgo::kWinograd3,
+          ConvAlgo::kWinograd4, ConvAlgo::kInt8Im2col,
+          ConvAlgo::kInt8Winograd2, ConvAlgo::kInt8Winograd4}) {
+      const wino::nn::ExecutionPlan plan = wino::nn::uniform_plan(layers, algo);
+      for (const std::size_t batch : {1u, 8u}) {
+        const Tensor4f in = hostile_batch(batch, 3, 16, 16, rng);
+        const Tensor4f want = wino::nn::forward_reference(plan, weights, in);
+        const Tensor4f got = wino::nn::forward(plan, weights, in);
+        EXPECT_TRUE(bit_identical(got, want))
+            << wino::nn::to_string(algo) << " batch=" << batch;
+      }
     }
-  }
+  });
 }
 
 // -------------------------------------------------------------------------

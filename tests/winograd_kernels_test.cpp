@@ -8,12 +8,14 @@
 
 #include "common/random.hpp"
 #include "conv/spatial.hpp"
+#include "test_support.hpp"
 
 namespace wino::winograd {
 namespace {
 
 using common::Rng;
 using conv::conv2d_spatial;
+using test::for_each_kernel_set;
 using tensor::Tensor4f;
 
 Tensor4f random_tensor(std::size_t n, std::size_t c, std::size_t h,
@@ -291,63 +293,67 @@ bool same_bytes(const float* a, const float* b, std::size_t count) {
 }
 
 TEST(TileTransforms, MatchTransformDataAndInverseBitForBit) {
-  Rng rng(2024);
-  for (const int r : {3, 5}) {
-    for (const int m : {2, 3, 4}) {
-      const TileTransformer xf(transforms(m, r));
-      const auto n = static_cast<std::size_t>(xf.tile());
-      const std::size_t nsq = n * n;
-      const std::size_t msq = static_cast<std::size_t>(m * m);
-      std::vector<float> want(nsq);
-      std::vector<float> tile(nsq);
-      // One tile, separate and aliased output.
-      for (int rep = 0; rep < 64; ++rep) {
-        const std::vector<float> d = hostile_values(nsq, rng);
-        std::vector<float> got(nsq);
-        xf.transform_data(d, want);
-        xf.transform_data_tile(d.data(), got.data());
-        EXPECT_TRUE(same_bytes(got.data(), want.data(), nsq))
-            << "data m=" << m << " r=" << r;
-        got = d;
-        xf.transform_data_tile(got.data(), got.data());
-        EXPECT_TRUE(same_bytes(got.data(), want.data(), nsq))
-            << "data in place m=" << m << " r=" << r;
-        xf.inverse(d, std::span(want).first(msq));
-        got = d;
-        xf.inverse_tile(got.data(), got.data());
-        EXPECT_TRUE(same_bytes(got.data(), want.data(), msq))
-            << "inverse m=" << m << " r=" << r;
-      }
-      // Interleaved lanes: every count 1..16, at a stride wider than the
-      // lane count so lanes past `lanes` must come through untouched.
-      for (std::size_t lanes = 1; lanes <= 16; ++lanes) {
-        const std::size_t stride = lanes + 3;
-        const std::vector<float> bank = hostile_values(nsq * stride, rng);
-        std::vector<float> data = bank;
-        std::vector<float> inv = bank;
-        xf.transform_data_lanes(data.data(), lanes, stride, tile.data());
-        xf.inverse_lanes(inv.data(), lanes, stride, tile.data());
-        std::vector<float> want_data = bank;
-        std::vector<float> want_inv = bank;
-        std::vector<float> lane(nsq);
-        for (std::size_t t = 0; t < lanes; ++t) {
-          for (std::size_t e = 0; e < nsq; ++e) lane[e] = bank[e * stride + t];
-          xf.transform_data(lane, want);
-          for (std::size_t e = 0; e < nsq; ++e) {
-            want_data[e * stride + t] = want[e];
-          }
-          xf.inverse(lane, std::span(want).first(msq));
-          for (std::size_t e = 0; e < msq; ++e) {
-            want_inv[e * stride + t] = want[e];
-          }
+  for_each_kernel_set([&] {
+    Rng rng(2024);
+    for (const int r : {3, 5}) {
+      for (const int m : {2, 3, 4}) {
+        const TileTransformer xf(transforms(m, r));
+        const auto n = static_cast<std::size_t>(xf.tile());
+        const std::size_t nsq = n * n;
+        const std::size_t msq = static_cast<std::size_t>(m * m);
+        std::vector<float> want(nsq);
+        std::vector<float> tile(nsq);
+        // One tile, separate and aliased output.
+        for (int rep = 0; rep < 64; ++rep) {
+          const std::vector<float> d = hostile_values(nsq, rng);
+          std::vector<float> got(nsq);
+          xf.transform_data(d, want);
+          xf.transform_data_tile(d.data(), got.data());
+          EXPECT_TRUE(same_bytes(got.data(), want.data(), nsq))
+              << "data m=" << m << " r=" << r;
+          got = d;
+          xf.transform_data_tile(got.data(), got.data());
+          EXPECT_TRUE(same_bytes(got.data(), want.data(), nsq))
+              << "data in place m=" << m << " r=" << r;
+          xf.inverse(d, std::span(want).first(msq));
+          got = d;
+          xf.inverse_tile(got.data(), got.data());
+          EXPECT_TRUE(same_bytes(got.data(), want.data(), msq))
+              << "inverse m=" << m << " r=" << r;
         }
-        EXPECT_TRUE(same_bytes(data.data(), want_data.data(), data.size()))
-            << "data lanes m=" << m << " r=" << r << " lanes=" << lanes;
-        EXPECT_TRUE(same_bytes(inv.data(), want_inv.data(), inv.size()))
-            << "inverse lanes m=" << m << " r=" << r << " lanes=" << lanes;
+        // Interleaved lanes: every count 1..16, at a stride wider than the
+        // lane count so lanes past `lanes` must come through untouched.
+        for (std::size_t lanes = 1; lanes <= 16; ++lanes) {
+          const std::size_t stride = lanes + 3;
+          const std::vector<float> bank = hostile_values(nsq * stride, rng);
+          std::vector<float> data = bank;
+          std::vector<float> inv = bank;
+          xf.transform_data_lanes(data.data(), lanes, stride, tile.data());
+          xf.inverse_lanes(inv.data(), lanes, stride, tile.data());
+          std::vector<float> want_data = bank;
+          std::vector<float> want_inv = bank;
+          std::vector<float> lane(nsq);
+          for (std::size_t t = 0; t < lanes; ++t) {
+            for (std::size_t e = 0; e < nsq; ++e) {
+              lane[e] = bank[e * stride + t];
+            }
+            xf.transform_data(lane, want);
+            for (std::size_t e = 0; e < nsq; ++e) {
+              want_data[e * stride + t] = want[e];
+            }
+            xf.inverse(lane, std::span(want).first(msq));
+            for (std::size_t e = 0; e < msq; ++e) {
+              want_inv[e * stride + t] = want[e];
+            }
+          }
+          EXPECT_TRUE(same_bytes(data.data(), want_data.data(), data.size()))
+              << "data lanes m=" << m << " r=" << r << " lanes=" << lanes;
+          EXPECT_TRUE(same_bytes(inv.data(), want_inv.data(), inv.size()))
+              << "inverse lanes m=" << m << " r=" << r << " lanes=" << lanes;
+        }
       }
     }
-  }
+  });
 }
 
 }  // namespace
